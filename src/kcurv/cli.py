@@ -4,18 +4,15 @@ geodesic traces.
 
 Exit code contract (stable): 0 = success / no violations, 1 = violations
 found (scan) or witness not found, 2 = input error.  Reports with identical
-inputs (form, region, samples, seed) are byte-identical; scan samples use
-per-index RNG substreams so the optional thread pool (``KCURV_THREADS``)
-cannot change any output.
+inputs (form, region, samples, seed) are byte-identical; scan sample i
+draws all its randomness from its own substream SeedSequence([seed, i]).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import lcm
 
@@ -97,25 +94,43 @@ def report_invariants(F: Form) -> str:
 # ------------------------------------------------------------------- scan
 
 def _draw_point(F, rng, region, budget):
-    """Draw until classify yields an index-cone point; None when budget runs out.
-    Returns (ConePoint or None, draws_used)."""
-    for used in range(1, budget + 1):
-        if region == "orthant":
-            x = rng.exponential(1.0, F.dim)
-        elif region == "ball":
-            x = rng.standard_normal(F.dim)
-            n = np.linalg.norm(x)
-            if n == 0.0:
-                continue
-            x = x / n
-        else:
-            raise KcurvError(f"unknown region {region!r}")
-        try:
-            cp = cone.classify(F, x)
-        except (NearDegenerate, KcurvError):
-            continue
-        if cp.classification == cone.INDEX_CONE:
-            return cp, used
+    """Draw until a draw lands in the index cone; (point or None, draws used).
+
+    Draws are classified in batches of 1, 4, 16, 64, ... rows, capped by the
+    rest of the budget.  A batch of n rows is the same stream as n single
+    draws, and after a hit at draw k the generator is rewound to exactly k
+    draws in, so the point, the count and the generator state are those of
+    drawing and classifying one point at a time.  The cone test is
+    invariant under positive scaling, so ball rows are classified raw and
+    only the accepted one is normalized.  The point is returned after the
+    odd-degree flip.
+    """
+    if region == "orthant":
+        def draw(n):
+            return rng.exponential(1.0, (n, F.dim))
+    elif region == "ball":
+        def draw(n):
+            return rng.standard_normal((n, F.dim))
+    else:
+        raise KcurvError(f"unknown region {region!r}")
+    used, size = 0, 1
+    while used < budget:
+        n = min(size, budget - used)
+        state = rng.bit_generator.state
+        X = draw(n)
+        batch = cone.classify_many(F, X)
+        hits = np.flatnonzero(batch.code == cone.CODE_INDEX)
+        if hits.size:
+            j = int(hits[0])
+            if j + 1 < n:
+                rng.bit_generator.state = state
+                draw(j + 1)
+            x = X[j].copy()
+            if region == "ball":
+                x = x / np.linalg.norm(x)
+            return (-x if batch.flipped[j] else x), used + j + 1
+        used += n
+        size *= 4
     return None, budget
 
 
@@ -125,8 +140,7 @@ def scan(F: Form, region: str, samples: int, seed: int,
     -d(d-1)/2 <= K <= 0, and return a deterministic report dict.
 
     Determinism: sample i derives all randomness from SeedSequence([seed, i]),
-    so results are independent of evaluation order and thread count
-    (KCURV_THREADS caps an optional thread pool).
+    so results are independent of evaluation order.
     """
     if samples < 1:
         raise KcurvError("samples must be >= 1")
@@ -143,13 +157,13 @@ def scan(F: Form, region: str, samples: int, seed: int,
 
     def run_sample(i):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        cp, draws = _draw_point(F, rng, region, per_sample_budget)
-        if cp is None:
+        x, draws = _draw_point(F, rng, region, per_sample_budget)
+        if x is None:
             return {"status": "no_point", "draws": draws}
         v1 = rng.standard_normal(F.dim)
         v2 = rng.standard_normal(F.dim)
         try:
-            s = curvature.sectional_curvature_numeric(F, cp.x, v1, v2, fd_cfg)
+            s = curvature.sectional_curvature_numeric(F, x, v1, v2, fd_cfg)
         except (DegeneratePlane, IllConditioned, NearDegenerate, ChartExit) as exc:
             return {"status": "skipped", "reason": type(exc).__name__, "draws": draws}
         if crosscheck:
@@ -166,12 +180,7 @@ def scan(F: Form, region: str, samples: int, seed: int,
                           [float(v) for v in s.plane[1]]],
                 "violation": violation, "draws": draws}
 
-    n_threads = int(os.environ.get("KCURV_THREADS", "1") or "1")
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run_sample, range(samples)))
-    else:
-        results = [run_sample(i) for i in range(samples)]
+    results = [run_sample(i) for i in range(samples)]
 
     accepted = [r for r in results if r["status"] == "ok"]
     if not accepted and all(r["status"] == "no_point" for r in results):

@@ -9,9 +9,10 @@ space {L : grad F(x) . L = 0}, and is the metric everything else uses.
 Two classification routes live here: a floating-point one built on a
 symmetric eigensolver with a relative tolerance band (near-band points are
 a hard error, since curvature is ill-conditioned at the cone boundary),
-and an exact one for rational points that counts eigenvalue signs through
-the characteristic polynomial (Descartes' rule is exact for the real-rooted
-characteristic polynomial of a symmetric matrix).
+batched over rows by :func:`classify_many` with :func:`classify` as its
+one-point case; and an exact one for rational points that counts
+eigenvalue signs through the characteristic polynomial (Descartes' rule is
+exact for the real-rooted characteristic polynomial of a symmetric matrix).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .errors import (
 from .symform import Form, is_exact_vector
 
 __all__ = [
-    "ConePoint", "TangentFrame", "ExactClassification",
-    "classify", "classify_exact", "normalize_to_level",
+    "ConePoint", "ConeBatch", "TangentFrame", "ExactClassification",
+    "classify", "classify_many", "classify_exact", "normalize_to_level",
     "tangent_basis", "metric", "metric_gram", "orthonormal_frame",
     "exact_signature", "char_poly_exact",
 ]
@@ -41,6 +42,10 @@ __all__ = [
 INDEX_CONE = "index_cone"
 POSITIVE_ONLY = "positive_cone_only"
 OUTSIDE = "outside"
+
+# row codes of classify_many; CLASSES[code] is the classification string
+CODE_INDEX, CODE_POSITIVE, CODE_OUTSIDE, CODE_DEGENERATE = range(4)
+CLASSES = (INDEX_CONE, POSITIVE_ONLY, OUTSIDE, "near_degenerate")
 
 DEFAULT_TOL = 1e-9
 
@@ -55,6 +60,18 @@ class ConePoint:
     signature: tuple
     classification: str
     flipped: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class ConeBatch:
+    """Row-wise classification of a batch of points (rows after any flip)."""
+    code: np.ndarray       # (n,) one of the CODE_* values
+    x: np.ndarray          # (n, r)
+    value: np.ndarray      # (n,) F(x)
+    Q: np.ndarray          # (n, r, r) Hess F(x) / (d(d-1))
+    npos: np.ndarray       # (n,) eigenvalues of Q above the band
+    nneg: np.ndarray       # (n,) eigenvalues of Q below minus the band
+    flipped: np.ndarray    # (n,) bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,44 +90,56 @@ class ExactClassification:
     flipped: bool
 
 
-def classify(F: Form, x, tol: float = DEFAULT_TOL) -> ConePoint:
-    """Classify x against the positive/index cone (floating point).
+def classify_many(F: Form, X, tol: float = DEFAULT_TOL) -> ConeBatch:
+    """Classify each row of X against the positive/index cone (floating point).
 
-    Eigenvalues of Q within ``tol * max|eigenvalue|`` of zero raise
-    :class:`NearDegenerate`.  For odd degree with F(x) < 0 the
-    classification happens at -x and the flip is recorded.
+    For odd degree, rows with F(x) < 0 are classified at -x and marked
+    flipped.  A row whose Q has an eigenvalue within ``tol * max|eigenvalue|``
+    of zero, and the zero vector, get CODE_DEGENERATE.  One evaluation
+    of F and of the Hessian stack and one batched eigensolve cover all rows.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("classify_many expects an (n, dim) array")
+    d = F.degree
+    value = F.eval(X)
+    flipped = value < 0 if d % 2 == 1 else np.zeros(len(X), dtype=bool)
+    if flipped.any():
+        X = np.where(flipped[:, None], -X, X)
+        value = np.where(flipped, -value, value)
+    Q = F.hessian_many(X) / (d * (d - 1))
+    eig = np.linalg.eigvalsh(Q)
+    band = tol * np.abs(eig).max(axis=1, keepdims=True)
+    npos = (eig > band).sum(axis=1)
+    nneg = (eig < -band).sum(axis=1)
+    # an eigenvalue counted on neither side lies in the band (all do when Q = 0)
+    code = np.where(value > 0, np.where(npos == 1, CODE_INDEX, CODE_POSITIVE),
+                    CODE_OUTSIDE)
+    code[(npos + nneg < F.dim) | ~X.any(axis=1)] = CODE_DEGENERATE
+    return ConeBatch(code=code, x=X, value=value, Q=Q, npos=npos, nneg=nneg,
+                     flipped=flipped)
+
+
+def classify(F: Form, x, tol: float = DEFAULT_TOL) -> ConePoint:
+    """Classify x against the positive/index cone: :func:`classify_many` on
+    one row, raising :class:`NearDegenerate` for a degenerate row and adding
+    the gradient at the (possibly flipped) point.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("classify expects a single point")
     if not x.any():
         raise ZeroVector("cannot classify the zero vector")
-    d = F.degree
-    value = F.eval(x)
-    flipped = False
-    if d % 2 == 1 and value < 0:
-        x = -x
-        value = -value
-        flipped = True
-    Q = np.asarray(F.hessian_matrix(x)) / (d * (d - 1))
-    eig = np.linalg.eigvalsh(Q)
-    lam = float(np.max(np.abs(eig))) if eig.size else 0.0
-    band = tol * lam
-    if lam == 0.0 or np.any(np.abs(eig) <= band):
+    b = classify_many(F, x[None, :], tol)
+    x = b.x[0]
+    code = int(b.code[0])
+    if code == CODE_DEGENERATE:
         raise NearDegenerate(
             f"eigenvalue within {tol:g} relative band of zero at {x.tolist()}")
-    npos = int(np.sum(eig > band))
-    nneg = int(np.sum(eig < -band))
-    sig = (npos, nneg)
-    if value > 0 and sig == (1, F.dim - 1):
-        cls = INDEX_CONE
-    elif value > 0:
-        cls = POSITIVE_ONLY
-    else:
-        cls = OUTSIDE
     grad = np.asarray(F.gradient(x), dtype=float)
-    return ConePoint(x=x, value=value, grad=grad, Q=Q, signature=sig,
-                     classification=cls, flipped=flipped)
+    return ConePoint(x=x, value=float(b.value[0]), grad=grad, Q=b.Q[0],
+                     signature=(int(b.npos[0]), int(b.nneg[0])),
+                     classification=CLASSES[code], flipped=bool(b.flipped[0]))
 
 
 def char_poly_exact(M):

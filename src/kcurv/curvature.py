@@ -60,6 +60,8 @@ W1_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
 # fourth-order central second-derivative stencil at offsets (-2, -1, 0, 1, 2)
 W2_OFFSETS = (-2, -1, 0, 1, 2)
 W2_WEIGHTS = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
+# largest max|g(0) - I| accepted for a metric-orthonormal chart frame
+FRAME_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,10 @@ def _plane_frame(F, x, L1, L2, grad):
 
     Projection to the tangent space is radial (along x), which commutes with
     linear pullback; completion runs metric Gram-Schmidt over the
-    deterministic tangent basis, skipping dependent directions.
+    deterministic tangent basis, skipping dependent directions.  Near the
+    cone wall Gram-Schmidt can lose orthonormality; a frame whose metric
+    Gram is off the identity by more than FRAME_TOL is whitened once by the
+    Gram's Cholesky factor, which keeps slots 0 and 1 spanning the plane.
     """
     d = F.degree
     H = np.asarray(F.hessian_matrix(x))
@@ -171,7 +176,11 @@ def _plane_frame(F, x, L1, L2, grad):
         frame.append(v / np.sqrt(nn))
     if len(frame) != F.dim - 1:
         raise DegeneratePlane("could not complete the plane to a full frame")
-    return np.asarray(frame)
+    frame = np.asarray(frame)
+    gram = -(frame @ H @ frame.T) / scale
+    if np.max(np.abs(gram - np.eye(len(frame)))) > FRAME_TOL:
+        frame = np.linalg.solve(np.linalg.cholesky(gram), frame)
+    return frame
 
 
 def _prepare(F, x, L1, L2, cfg):
@@ -270,7 +279,7 @@ def _K_at_step(cm, h):
     m = cm.m
     pairs = [(0, 0), (1, 1), (0, 1)]
     g0, G1, G2 = _first_and_second_diffs(cm, h, pairs)
-    if np.max(np.abs(g0 - np.eye(m))) > 1e-8:
+    if np.max(np.abs(g0 - np.eye(m))) > FRAME_TOL:
         raise IllConditioned("chart metric at 0 is not the identity; frame drifted")
     Gamma = _christoffels(G1)
     d0_G011 = _dgamma(G1, G2, Gamma, 0, 0, 1, 1)
@@ -309,7 +318,7 @@ def _tensor_at_step(cm, h):
     m = cm.m
     pairs = [(a, b) for a in range(m) for b in range(a, m)]
     g0, G1, G2 = _first_and_second_diffs(cm, h, pairs)
-    if np.max(np.abs(g0 - np.eye(m))) > 1e-8:
+    if np.max(np.abs(g0 - np.eye(m))) > FRAME_TOL:
         raise IllConditioned("chart metric at 0 is not the identity; frame drifted")
     Gamma = _christoffels(G1)
     dG = np.zeros((m, m, m, m))  # dG[a, l, j, k] = d_a Gamma^l_jk

@@ -11,7 +11,8 @@ of variables.
 Exact operations stay in rational arithmetic end to end.  Floating-point
 evaluation is vectorized over the sparse terms via cached numpy arrays;
 :class:`StackedPolys` batches many polynomials over many points at once,
-which is the hot path of the finite-difference curvature engine.
+which is the hot path of the finite-difference curvature engine and of
+the scan sampler's batched cone test.
 """
 
 from __future__ import annotations
@@ -35,6 +36,25 @@ def is_exact_vector(x) -> bool:
 
 def _exact(x):
     return [Fraction(c) for c in x]
+
+
+def _power_index(E):
+    """(exponents 0..k-1, gather index) for :func:`_monomials` over exponents E."""
+    k = int(E.max(initial=0)) + 1
+    return np.arange(k, dtype=float), E + k * np.arange(E.shape[1])
+
+
+def _monomials(X, powers, index):
+    """Monomial values prod_i X[n, i] ** E[t, i], shape (n, T).
+
+    The powers X[n, i] ** e come from one table, so the work is n*r*k
+    ``pow`` calls instead of n*T*r; gathering the same factors and
+    multiplying them in the same order keeps the result bit-identical to
+    ``np.prod(X[:, None, :] ** E, axis=2)``.
+    """
+    n, r = X.shape
+    table = np.power(X[:, :, None], powers).reshape(n, r * len(powers))
+    return np.multiply.reduce(table.take(index, axis=1), axis=2)
 
 
 class Form:
@@ -138,7 +158,7 @@ class Form:
             else:
                 E = np.zeros((0, self.dim), dtype=np.int64)
                 c = np.zeros(0)
-            cached = self._lazy["numeric"] = (E, c)
+            cached = self._lazy["numeric"] = (E, c, *_power_index(E))
         return cached
 
     def eval(self, x):
@@ -146,10 +166,11 @@ class Form:
         X = np.asarray(x, dtype=float)
         if X.shape[-1] != self.dim:
             raise DimensionMismatch(f"point has length {X.shape[-1]}, expected {self.dim}")
-        E, c = self._numeric()
+        E, c, powers, index = self._numeric()
         if E.shape[0] == 0:
             return 0.0 if X.ndim == 1 else np.zeros(X.shape[:-1])
-        vals = (np.prod(X[..., None, :] ** E, axis=-1) * c).sum(axis=-1)
+        M = _monomials(X.reshape(-1, self.dim), powers, index)
+        vals = (M * c).sum(axis=-1).reshape(X.shape[:-1])
         return float(vals) if X.ndim == 1 else vals
 
     def eval_exact(self, x) -> Fraction:
@@ -217,11 +238,20 @@ class Form:
                 for j in range(i, r):
                     vals[(i, j)] = self.partial(i).partial(j).eval_exact(x)
             return [[vals[(min(i, j), max(i, j))] for j in range(r)] for i in range(r)]
-        flat = self._stack("hess").eval_many(np.asarray(x, float)[None, :])[0]
-        H = np.zeros((r, r))
-        iu, ju = np.triu_indices(r)
-        H[iu, ju] = flat
-        H[ju, iu] = flat
+        return self.hessian_many(np.asarray(x, float)[None, :])[0]
+
+    def hessian_many(self, X):
+        """Float Hessian matrices at the rows of X (n, dim); shape (n, dim, dim)."""
+        if self.degree < 2:
+            raise ValueError("hessian_matrix needs degree >= 2")
+        flat = self._stack("hess").eval_many(X)
+        triu = self._lazy.get("triu")
+        if triu is None:
+            triu = self._lazy["triu"] = np.triu_indices(self.dim)
+        iu, ju = triu
+        H = np.empty((flat.shape[0], self.dim, self.dim))
+        H[:, iu, ju] = flat
+        H[:, ju, iu] = flat
         return H
 
     def polarize(self, *vs):
@@ -415,9 +445,9 @@ class StackedPolys:
     """Batched float evaluation of several polynomials over shared points.
 
     All terms of all polynomials are concatenated into one exponent matrix,
-    so evaluating P polynomials at n points is a single broadcasted product
-    plus a segmented sum.  Empty polynomials get a zero-coefficient dummy row
-    to keep the segment arithmetic valid.
+    so evaluating P polynomials at n points is one gathered product over a
+    table of coordinate powers plus a segmented sum.  Empty polynomials get
+    a zero-coefficient dummy row to keep the segment arithmetic valid.
     """
 
     _CHUNK = 4_000_000  # cap on rows*terms*dim handled per slice
@@ -439,6 +469,7 @@ class StackedPolys:
         self.c = np.array(coeffs)
         self.starts = np.zeros(len(lengths), dtype=np.intp)
         np.cumsum(lengths[:-1], out=self.starts[1:])
+        self._powers, self._index = _power_index(self.E)
 
     def eval_many(self, X):
         """X of shape (n, dim) -> values of shape (n, count)."""
@@ -447,7 +478,6 @@ class StackedPolys:
         step = max(1, self._CHUNK // max(1, self.E.shape[0] * self.dim))
         outs = []
         for lo in range(0, n, step):
-            sl = X[lo:lo + step]
-            P = np.prod(sl[:, None, :] ** self.E[None, :, :], axis=2) * self.c
+            P = _monomials(X[lo:lo + step], self._powers, self._index) * self.c
             outs.append(np.add.reduceat(P, self.starts, axis=1))
         return np.concatenate(outs, axis=0) if len(outs) > 1 else outs[0]

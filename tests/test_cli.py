@@ -4,10 +4,19 @@ import csv
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from kcurv.cli import _merge_vector_flags, main
-from kcurv.fixtures import concurrent_lines, nodal_cubic, triple_product
+from kcurv import cone
+from kcurv.cli import _draw_point, _merge_vector_flags, main
+from kcurv.errors import KcurvError, NearDegenerate
+from kcurv.fixtures import (
+    concurrent_lines,
+    hermitian_det,
+    lorentzian,
+    nodal_cubic,
+    triple_product,
+)
 from kcurv.symform import Form
 
 
@@ -184,6 +193,87 @@ class TestScanCommand:
         rc = main(["scan", "--form", str(path), "--region", "orthant",
                    "--samples", "10", "--seed", "0", "--out", str(out)])
         assert rc == 2
+
+
+def _draw_one_at_a_time(F, rng, region, budget):
+    """Reference sampler: one draw, normalized, then classified, per step."""
+    for used in range(1, budget + 1):
+        if region == "orthant":
+            x = rng.exponential(1.0, F.dim)
+        else:
+            x = rng.standard_normal(F.dim)
+            n = np.linalg.norm(x)
+            if n == 0.0:
+                continue
+            x = x / n
+        try:
+            cp = cone.classify(F, x)
+        except (NearDegenerate, KcurvError):
+            continue
+        if cp.classification == cone.INDEX_CONE:
+            return cp.x, used
+    return None, budget
+
+
+SAMPLER_FORMS = {"nodal": nodal_cubic(), "lorentzian4": lorentzian(4),
+                 "hermdet3": hermitian_det(3)}
+
+
+class TestBatchedSampler:
+    """_draw_point matches drawing and classifying one point at a time."""
+
+    def _compare(self, F, region, seed, i, budget=100):
+        got_rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        ref_rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        x, used = _draw_point(F, got_rng, region, budget)
+        x_ref, used_ref = _draw_one_at_a_time(F, ref_rng, region, budget)
+        assert used == used_ref
+        assert (x is None) == (x_ref is None)
+        if x is not None:
+            assert np.array_equal(x, x_ref)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        return used, x is None
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_FORMS))
+    @pytest.mark.parametrize("region", ["orthant", "ball"])
+    def test_matches_one_at_a_time(self, name, region):
+        outcomes = [self._compare(SAMPLER_FORMS[name], region, 3, i) for i in range(12)]
+        assert any(not missed for _, missed in outcomes)
+
+    def test_first_draw_hits(self):
+        # a hit on the first draw ends a one-row batch, so nothing is redrawn
+        outcomes = [self._compare(lorentzian(4), "ball", 2, i) for i in range(12)]
+        assert (1, False) in outcomes
+
+    def test_covers_every_batch_and_exhaustion(self):
+        # r = 9 ball: most samples use several batches or the whole budget
+        outcomes = [self._compare(hermitian_det(3), "ball", 0, i) for i in range(40)]
+        used = [u for u, missed in outcomes if not missed]
+        assert any(missed for _, missed in outcomes)
+        assert max(used) > 1 + 4 + 16
+        # a hit before the last row of its batch rewinds the generator
+        assert any(u not in (1, 5, 21, 85) for u in used)
+
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    def test_small_budgets(self, budget):
+        for i in range(10):
+            self._compare(hermitian_det(3), "ball", 5, i, budget)
+
+    def test_point_is_returned_after_the_flip(self):
+        # about half the ball draws have F < 0 and are classified at -x
+        F = nodal_cubic()
+        flips = 0
+        for i in range(30):
+            rng = np.random.default_rng(np.random.SeedSequence([1, i]))
+            x, _ = _draw_point(F, rng, "ball", 100)
+            if x is not None:
+                assert F.eval(x) > 0
+                flips += cone.classify(F, x).flipped
+        assert flips == 0
+
+    def test_unknown_region(self):
+        with pytest.raises(KcurvError):
+            _draw_point(nodal_cubic(), np.random.default_rng(0), "cube", 10)
 
 
 class TestWitnessCommand:

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from kcurv import fixtures
 from kcurv.cone import (
+    CLASSES,
+    CODE_DEGENERATE,
     INDEX_CONE,
     OUTSIDE,
     POSITIVE_ONLY,
     char_poly_exact,
     classify,
     classify_exact,
+    classify_many,
     exact_signature,
     metric,
     metric_gram,
@@ -101,6 +104,56 @@ class TestClassify:
         assert p.classification == m.classification
         assert p.flipped != m.flipped or p.classification == OUTSIDE or (
             NODAL.eval(x) == 0)
+
+
+class TestClassifyMany:
+    """classify_many agrees row by row with classify, bit for bit."""
+
+    @pytest.mark.parametrize("F", [NODAL, XYZ6, fixtures.lorentzian(4),
+                                   fixtures.hermitian_det(3)],
+                             ids=["nodal", "xyz", "lorentzian4", "hermdet3"])
+    def test_rows_match_classify(self, F, rng):
+        X = rng.normal(size=(60, F.dim))
+        X[7] = 0.0                          # the zero vector
+        X[11] = -X[10]                      # an antipodal pair
+        if F is XYZ6:
+            X[12] = [0.0, 1.0, 1.0]         # on the wall: the Hessian drops rank
+            X[13] = [0.0, -2.0, 1.5]
+        batch = classify_many(F, X)
+        codes = set()
+        for i, x in enumerate(X):
+            codes.add(int(batch.code[i]))
+            try:
+                cp = classify(F, x)
+            except (NearDegenerate, ZeroVector):
+                assert batch.code[i] == CODE_DEGENERATE
+                continue
+            assert CLASSES[batch.code[i]] == cp.classification
+            assert np.array_equal(batch.x[i], cp.x)
+            assert batch.value[i] == cp.value
+            assert np.array_equal(batch.Q[i], cp.Q)
+            assert (batch.npos[i], batch.nneg[i]) == cp.signature
+            assert bool(batch.flipped[i]) == cp.flipped
+        assert CODE_DEGENERATE in codes
+        if F.degree % 2:
+            assert batch.flipped.any() and not batch.flipped.all()
+
+    def test_wall_rows_are_degenerate(self):
+        batch = classify_many(XYZ6, [[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        assert [CLASSES[c] for c in batch.code] == ["near_degenerate", INDEX_CONE,
+                                                     "near_degenerate"]
+
+    def test_flip_applied_to_rows(self):
+        batch = classify_many(XYZ6, [[-1.0, -1.0, -1.0], [1.0, 2.0, 3.0]])
+        assert batch.flipped.tolist() == [True, False]
+        assert np.array_equal(batch.x, [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
+        assert (batch.value > 0).all()
+
+    def test_rejects_single_point_and_low_degree(self):
+        with pytest.raises(ValueError):
+            classify_many(XYZ6, [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            classify_many(Form(1, 2, {(1, 0): 1}), [[1.0, 0.0]])
 
 
 class TestExactRoutes:

@@ -15,7 +15,7 @@ from kcurv.curvature import (
     sectional_curvature_surface,
 )
 from kcurv.errors import DegeneratePlane, IllConditioned, NotInIndexCone
-from kcurv.fixtures import diagonal, lorentzian, quadric_power
+from kcurv.fixtures import diagonal, hermitian_det, lorentzian, quadric_power
 from kcurv.symform import Form
 
 
@@ -280,3 +280,22 @@ class TestErrorPaths:
         cfg = FDConfig(h=5e-4)
         s = sectional_curvature_numeric(F, x, *default_plane(F, x), cfg=cfg)
         assert abs(s.K + 1.0) < 1e-6
+
+
+def test_near_wall_frame_is_reorthonormalized():
+    """hermitian_det(3), ball scan seed 11024, sample 24: metric Gram-Schmidt
+    leaves the frame 1.2e-8 off orthonormal, which used to be refused as
+    "frame drifted".  The reference K is Totaro's Hessian-metric formula
+    evaluated at the same point and plane."""
+    x = [0.5695035724334703, 0.6278875556556078, 0.2157119676259812,
+         0.15659686960313995, -0.26552490623630187, -0.3358699839168054,
+         0.08392605637191468, -0.08916669995652585, -0.10982832350725905]
+    v1 = [-2.2969234371772553, -0.39222449292444206, 0.2789749251205625,
+          -0.5196945290612653, -0.314064715556272, -1.0473715613305623,
+          -0.1654752559939943, 0.14538102336930508, -0.05331234511506248]
+    v2 = [2.696843280968752, -0.9717728492713037, -1.5312566741197278,
+          0.31007196204578125, 0.37066559471512683, -1.0012276965795304,
+          -0.26480818285889035, -0.31359316670566106, -0.3712656373606314]
+    s = sectional_curvature_numeric(hermitian_det(3), np.array(x), np.array(v1),
+                                    np.array(v2))
+    assert abs(s.K - (-2.2501431)) < 1e-5

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_form_strategy, rational_vectors
+from kcurv import fixtures
 from kcurv.errors import DimensionMismatch, WrongArgumentCount
 from kcurv.symform import Form, StackedPolys, load_form, save_form
 
@@ -87,6 +88,55 @@ class TestEvaluation:
         assert out.shape == (2, 3)
         assert np.allclose(out[:, 0], 0) and np.allclose(out[:, 2], 0)
         assert np.allclose(out[:, 1], [9.0, 4.0])
+
+
+def _direct_eval_many(sp, X):
+    """The direct kernel: one pow per (row, term, variable), then reduceat."""
+    P = np.prod(X[:, None, :] ** sp.E[None, :, :], axis=2) * sp.c
+    return np.add.reduceat(P, sp.starts, axis=1)
+
+
+KERNEL_FORMS = {"hermdet3": fixtures.hermitian_det(3), "cicy1": fixtures.cicy1_form(),
+                "nodal": NODAL, "quartic": fixtures.quadric_power(4)}
+
+
+class TestPowerTableKernel:
+    """The power-table kernel is bitwise equal to the direct product."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+    @pytest.mark.parametrize("which", ["grad", "hess", "full"])
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_stacks_bitwise_equal(self, name, which, n, rng):
+        F = KERNEL_FORMS[name]
+        sp = F._stack(which)
+        X = 3.0 * rng.normal(size=(n, F.dim))
+        assert np.array_equal(sp.eval_many(X), _direct_eval_many(sp, X))
+
+    def test_chunk_boundary(self, rng, monkeypatch):
+        sp = fixtures.hermitian_det(3)._stack("full")
+        # 7 rows per slice, so 25 rows span four slices
+        monkeypatch.setattr(StackedPolys, "_CHUNK", 7 * sp.E.shape[0] * sp.dim)
+        X = rng.normal(size=(25, sp.dim))
+        out = sp.eval_many(X)
+        assert out.shape == (25, sp.count)
+        assert np.array_equal(out, _direct_eval_many(sp, X))
+
+    def test_stack_with_empty_polynomial(self, rng):
+        sp = StackedPolys([NODAL, Form(3, 3, {}), NODAL.partial(1), Form(2, 3, {})], 3)
+        X = rng.normal(size=(25, 3))
+        out = sp.eval_many(X)
+        assert np.array_equal(out, _direct_eval_many(sp, X))
+        assert not out[:, 1].any() and not out[:, 3].any()
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+    def test_form_eval_bitwise_equal(self, name, rng):
+        F = KERNEL_FORMS[name]
+        E, c = F._numeric()[:2]
+        X = rng.normal(size=(25, F.dim))
+        direct = (np.prod(X[..., None, :] ** E, axis=-1) * c).sum(axis=-1)
+        assert np.array_equal(F.eval(X), direct)
+        assert F.eval(X[3]) == direct[3]
+        assert F.eval(X.reshape(5, 5, F.dim)).shape == (5, 5)
 
 
 class TestCalculus:
