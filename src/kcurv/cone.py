@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DegenerateMetric,
     NearDegenerate,
+    NonFiniteInput,
     NonpositiveValue,
     NotInIndexCone,
     ZeroGradient,
@@ -35,6 +36,7 @@ from .symform import Form, is_exact_vector
 __all__ = [
     "ConePoint", "ConeBatch", "TangentFrame", "ExactClassification",
     "classify", "classify_many", "classify_exact", "normalize_to_level",
+    "signature_codes",
     "tangent_basis", "metric", "metric_gram", "orthonormal_frame",
     "exact_signature", "char_poly_exact",
 ]
@@ -90,12 +92,34 @@ class ExactClassification:
     flipped: bool
 
 
+def signature_codes(value, Q, tol: float = DEFAULT_TOL):
+    """(code, npos, nneg) for form values ``value`` (n,) and quadratic forms
+    ``Q`` (n, r, r): the CODE_* of each row and its eigenvalue counts above
+    ``tol * max|eigenvalue|`` and below minus that band.  A row with an
+    eigenvalue inside the band, or with a non-finite Q (eigensolved as
+    zero), gets CODE_DEGENERATE.  The rule is scale-invariant in Q.
+    """
+    finite = np.isfinite(Q).all(axis=(1, 2))
+    if not finite.all():
+        Q = np.where(finite[:, None, None], Q, 0.0)
+    eig = np.linalg.eigvalsh(Q)
+    band = tol * np.abs(eig).max(axis=1, keepdims=True)
+    npos = (eig > band).sum(axis=1)
+    nneg = (eig < -band).sum(axis=1)
+    # an eigenvalue counted on neither side lies in the band (all do when Q = 0)
+    code = np.where(value > 0, np.where(npos == 1, CODE_INDEX, CODE_POSITIVE),
+                    CODE_OUTSIDE)
+    code[npos + nneg < Q.shape[-1]] = CODE_DEGENERATE
+    return code, npos, nneg
+
+
 def classify_many(F: Form, X, tol: float = DEFAULT_TOL) -> ConeBatch:
     """Classify each row of X against the positive/index cone (floating point).
 
     For odd degree, rows with F(x) < 0 are classified at -x and marked
     flipped.  A row whose Q has an eigenvalue within ``tol * max|eigenvalue|``
-    of zero, and the zero vector, get CODE_DEGENERATE.  One evaluation
+    of zero (see :func:`signature_codes`), the zero vector and a row with a
+    non-finite coordinate get CODE_DEGENERATE.  One evaluation
     of F and of the Hessian stack and one batched eigensolve cover all rows.
     """
     X = np.asarray(X, dtype=float)
@@ -108,21 +132,16 @@ def classify_many(F: Form, X, tol: float = DEFAULT_TOL) -> ConeBatch:
         X = np.where(flipped[:, None], -X, X)
         value = np.where(flipped, -value, value)
     Q = F.hessian_many(X) / (d * (d - 1))
-    eig = np.linalg.eigvalsh(Q)
-    band = tol * np.abs(eig).max(axis=1, keepdims=True)
-    npos = (eig > band).sum(axis=1)
-    nneg = (eig < -band).sum(axis=1)
-    # an eigenvalue counted on neither side lies in the band (all do when Q = 0)
-    code = np.where(value > 0, np.where(npos == 1, CODE_INDEX, CODE_POSITIVE),
-                    CODE_OUTSIDE)
-    code[(npos + nneg < F.dim) | ~X.any(axis=1)] = CODE_DEGENERATE
+    code, npos, nneg = signature_codes(value, Q, tol)
+    code[~X.any(axis=1) | ~np.isfinite(X).all(axis=1)] = CODE_DEGENERATE
     return ConeBatch(code=code, x=X, value=value, Q=Q, npos=npos, nneg=nneg,
                      flipped=flipped)
 
 
 def classify(F: Form, x, tol: float = DEFAULT_TOL) -> ConePoint:
     """Classify x against the positive/index cone: :func:`classify_many` on
-    one row, raising :class:`NearDegenerate` for a degenerate row and adding
+    one row, raising :class:`NearDegenerate` for a degenerate row (and
+    :class:`NonFiniteInput` for a NaN or infinite coordinate) and adding
     the gradient at the (possibly flipped) point.
     """
     x = np.asarray(x, dtype=float)
@@ -130,6 +149,8 @@ def classify(F: Form, x, tol: float = DEFAULT_TOL) -> ConePoint:
         raise ValueError("classify expects a single point")
     if not x.any():
         raise ZeroVector("cannot classify the zero vector")
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"cannot classify the non-finite point {x.tolist()}")
     b = classify_many(F, x[None, :], tol)
     x = b.x[0]
     code = int(b.code[0])
@@ -213,6 +234,8 @@ def classify_exact(F: Form, x) -> ExactClassification:
 def normalize_to_level(F: Form, x):
     """Scale x radially onto W1 = {F = 1} (after the odd-degree antipodal flip)."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"cannot normalize the non-finite point {x.tolist()}")
     value = F.eval(x)
     if F.degree % 2 == 1 and value < 0:
         x = -x

@@ -33,13 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (
-    INDEX_CONE,
-    classify,
-    metric_gram,
-    normalize_to_level,
-    tangent_basis,
-)
+from .cone import INDEX_CONE, classify, normalize_to_level, tangent_basis
 from .errors import (
     ChartExit,
     DegeneratePlane,
@@ -97,8 +91,6 @@ class ChartMetric:
         self.L = np.asarray(frame_vectors, dtype=float)  # (m, r)
         self.m = self.L.shape[0]
         self._stack = F._stack("full")
-        r = F.dim
-        self._triu = np.triu_indices(r)
 
     def values(self, U):
         """Metric matrices g(u) for u in the rows of U; shape (n, m, m)."""
@@ -111,11 +103,7 @@ class ChartMetric:
         if np.any(f <= 0):
             raise ChartExit("form value nonpositive inside the chart stencil")
         grad = out[:, 1:1 + r]
-        n = X.shape[0]
-        H = np.zeros((n, r, r))
-        iu, ju = self._triu
-        H[:, iu, ju] = out[:, 1 + r:]
-        H[:, ju, iu] = out[:, 1 + r:]
+        H = self.F._unpack_hessian(out[:, 1 + r:])
         A = np.einsum("nab,ia,jb->nij", H, self.L, self.L) / (d * (d - 1))
         b = grad @ self.L.T
         return (-A / f[:, None, None]
@@ -125,18 +113,19 @@ class ChartMetric:
         return self.values(np.asarray(u, dtype=float)[None, :])[0]
 
 
-def _plane_frame(F, x, L1, L2, grad):
+def _plane_frame(F, x, L1, L2, grad, H, basis):
     """Metric-orthonormal frame with slots 0, 1 spanning the projected plane.
 
-    Projection to the tangent space is radial (along x), which commutes with
-    linear pullback; completion runs metric Gram-Schmidt over the
-    deterministic tangent basis, skipping dependent directions.  Near the
-    cone wall Gram-Schmidt can lose orthonormality; a frame whose metric
-    Gram is off the identity by more than FRAME_TOL is whitened once by the
-    Gram's Cholesky factor, which keeps slots 0 and 1 spanning the plane.
+    ``grad``, ``H`` and ``basis`` are the gradient, Hessian and
+    :func:`tangent_basis` at x.  Projection to the tangent space is radial
+    (along x), which commutes with linear pullback; completion runs metric
+    Gram-Schmidt over the tangent basis, skipping dependent directions.
+    Near the cone wall Gram-Schmidt can lose orthonormality; a frame whose
+    metric Gram is off the identity by more than FRAME_TOL is whitened once
+    by the Gram's Cholesky factor, which keeps slots 0 and 1 spanning the
+    plane.
     """
     d = F.degree
-    H = np.asarray(F.hessian_matrix(x))
     scale = d * (d - 1)
 
     def g(a, b):
@@ -164,7 +153,7 @@ def _plane_frame(F, x, L1, L2, grad):
         if nn < 1e-12:
             raise DegeneratePlane("projected plane vectors are metrically dependent")
         frame.append(v / np.sqrt(nn))
-    for cand in tangent_basis(F, x):
+    for cand in basis:
         if len(frame) == F.dim - 1:
             break
         v = cand.copy()
@@ -188,13 +177,14 @@ def _prepare(F, x, L1, L2, cfg):
     cp = classify(F, xn)
     if cp.classification != INDEX_CONE:
         raise NotInIndexCone(f"classification is {cp.classification}")
+    H = np.asarray(F.hessian_matrix(xn))
     basis = tangent_basis(F, xn)
-    gram = metric_gram(F, xn, basis)
+    gram = -(basis @ H @ basis.T) / (F.degree * (F.degree - 1))
     eig = np.linalg.eigvalsh(gram)
     if eig[0] <= 0 or eig[0] / eig[-1] < cfg.gram_condition_floor:
         raise IllConditioned(
             f"tangent Gram conditioning {eig[0]:.3g}/{eig[-1]:.3g} below floor")
-    frame = _plane_frame(F, xn, L1, L2, cp.grad)
+    frame = _plane_frame(F, xn, L1, L2, cp.grad, H, basis)
     return xn, frame
 
 

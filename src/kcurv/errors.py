@@ -30,6 +30,10 @@ class NearDegenerate(KcurvError):
     """
 
 
+class NonFiniteInput(KcurvError):
+    """A point or direction has a NaN or infinite coordinate."""
+
+
 class NonpositiveValue(KcurvError):
     """Normalization to the unit level set needs a positive form value."""
 
@@ -77,7 +81,12 @@ class HessianZero(KcurvError):
 
 
 class GeodesicFailure(KcurvError):
-    """Base class for geodesic integration failures."""
+    """Base class for geodesic integration failures.  A mid-run failure
+    carries ``step`` (the 1-based RK4 step that failed) and ``t`` (the time
+    at the end of that step); both are None otherwise."""
+
+    step = None
+    t = None
 
 
 class LeftIndexCone(GeodesicFailure):

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -244,15 +245,18 @@ class Form:
         """Float Hessian matrices at the rows of X (n, dim); shape (n, dim, dim)."""
         if self.degree < 2:
             raise ValueError("hessian_matrix needs degree >= 2")
-        flat = self._stack("hess").eval_many(X)
+        return self._unpack_hessian(self._stack("hess").eval_many(X))
+
+    def _unpack_hessian(self, flat):
+        """Symmetric (n, dim, dim) matrices from upper-triangle rows, in the
+        row-major order of the 'hess' stack, by one gather through the
+        cached (dim, dim) map from entry (i, j) to its triangle position."""
         triu = self._lazy.get("triu")
         if triu is None:
-            triu = self._lazy["triu"] = np.triu_indices(self.dim)
-        iu, ju = triu
-        H = np.empty((flat.shape[0], self.dim, self.dim))
-        H[:, iu, ju] = flat
-        H[:, ju, iu] = flat
-        return H
+            iu, ju = np.triu_indices(self.dim)
+            triu = self._lazy["triu"] = np.empty((self.dim, self.dim), dtype=np.intp)
+            triu[iu, ju] = triu[ju, iu] = np.arange(len(iu))
+        return flat.take(triu, axis=1)
 
     def polarize(self, *vs):
         """Full polarization F~(v_1, ..., v_d), symmetric and multilinear.
@@ -298,43 +302,29 @@ class Form:
         r = self.dim
         if self.degree < 3:
             return np.zeros(r)
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        if self.degree == 3:
-            T = self._lazy.get("T3")
-            if T is None:
-                T = np.zeros((r, r, r))
-                for i in range(r):
-                    for j in range(i, r):
-                        pij = self.partial(i).partial(j)
-                        for k in range(j, r):
-                            v = float(pij.partial(k).terms.get((0,) * r, 0))
-                            if v:
-                                for p in {(i, j, k), (i, k, j), (j, i, k),
-                                          (j, k, i), (k, i, j), (k, j, i)}:
-                                    T[p] = v
+        T = self._lazy.get("T3")
+        if T is None:
+            stack, gather = self._third_stack()
+            T = stack.eval_many(np.asarray(x, float)[None, :])[0].take(gather)
+            if self.degree == 3:
                 self._lazy["T3"] = T
-            return np.einsum("ijk,i,j->k", T, a, b)
-        stack, triples = self._third_stack()
-        vals = stack.eval_many(np.asarray(x, float)[None, :])[0]
-        T = np.zeros((r, r, r))
-        for (i, j, k), v in zip(triples, vals):
-            for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-                T[p] = v
-        return np.einsum("ijk,i,j->k", T, a, b)
+        return np.einsum("ijk,i,j->k", T, np.asarray(a, float), np.asarray(b, float))
 
     def _third_stack(self):
+        """Cached (stacked third partials over sorted triples i <= j <= k,
+        (dim, dim, dim) map from each index triple to its sorted position)."""
         cached = self._lazy.get("third")
         if cached is None:
             r = self.dim
-            forms, triples = [], []
+            forms, gather = [], np.empty((r, r, r), dtype=np.intp)
             for i in range(r):
                 for j in range(i, r):
                     pij = self.partial(i).partial(j)
                     for k in range(j, r):
+                        for p in permutations((i, j, k)):
+                            gather[p] = len(forms)
                         forms.append(pij.partial(k))
-                        triples.append((i, j, k))
-            cached = self._lazy["third"] = (StackedPolys(forms, r), triples)
+            cached = self._lazy["third"] = (StackedPolys(forms, r), gather)
         return cached
 
     def _stack(self, which) -> "StackedPolys":

@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kcurv import cone
+from kcurv import cone, geodesic
 from kcurv.cli import _draw_point, _merge_vector_flags, main
-from kcurv.errors import KcurvError, NearDegenerate
+from kcurv.errors import GeodesicFailure, KcurvError, NearDegenerate
 from kcurv.fixtures import (
+    cicy1_form,
     concurrent_lines,
     hermitian_det,
     lorentzian,
@@ -366,7 +367,27 @@ class TestGeodesicCommand:
                    "--dir", "0,0,-1", "--time", "5.0",
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 2
-        assert capsys.readouterr().err != ""
+        err = capsys.readouterr().err
+        # the same run through the library says where it stopped; the CLI
+        # message is the exception's text
+        with pytest.raises(GeodesicFailure) as info:
+            geodesic.geodesic_integrate(diag, [1.5, 0.9, 0.7], [0.0, 0.0, -1.0], 5.0)
+        exc = info.value
+        assert 1 <= exc.step < 5000 and exc.t == pytest.approx(exc.step / 1000)
+        assert err == f"error: {exc}\n" and f"step {exc.step}" in err
+
+    @pytest.mark.parametrize("flag,value", [("--point", "nan,1,1"),
+                                            ("--dir", "0,inf,-1")])
+    def test_non_finite_input_is_named(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "cicy1.json"
+        path.write_text(cicy1_form().canonical_json())
+        args = {"--point": "2,1,1", "--dir": "0,1,-1", flag: value}
+        rc = main(["geodesic", "--form", str(path), "--point", args["--point"],
+                   "--dir", args["--dir"], "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "is not finite" in err and "LinAlgError" not in err
+        assert ("start point" if flag == "--point" else "direction") in err
 
 
 class TestInputErrors:
@@ -374,6 +395,15 @@ class TestInputErrors:
         rc = main(["invariants", "--form", "/nonexistent/f.json"])
         assert rc == 2
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.parametrize("extra", [[], ["--plane", "0,1,-1;1,0,-2"],
+                                       ["--method", "surface"]])
+    def test_non_finite_curvature_point(self, tmp_path, capsys, extra):
+        path = tmp_path / "cicy1.json"
+        path.write_text(cicy1_form().canonical_json())
+        rc = main(["curvature", "--form", str(path), "--point", "2,1,nan", *extra])
+        assert rc == 2
+        assert "non-finite point [2.0, 1.0, nan]" in capsys.readouterr().err
 
     def test_malformed_point(self, nodal_path, capsys):
         rc = main(["curvature", "--form", nodal_path, "--point", "1,spam,3"])

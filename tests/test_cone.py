@@ -20,6 +20,7 @@ from kcurv.cone import (
     classify_exact,
     classify_many,
     exact_signature,
+    signature_codes,
     metric,
     metric_gram,
     normalize_to_level,
@@ -28,6 +29,7 @@ from kcurv.cone import (
 )
 from kcurv.errors import (
     NearDegenerate,
+    NonFiniteInput,
     NonpositiveValue,
     NotInIndexCone,
     ZeroGradient,
@@ -148,6 +150,39 @@ class TestClassifyMany:
         assert batch.flipped.tolist() == [True, False]
         assert np.array_equal(batch.x, [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
         assert (batch.value > 0).all()
+
+    def test_non_finite_rows_are_degenerate(self, rng):
+        # one NaN or infinite row must not sink the batch; finite rows keep
+        # their bits
+        F = fixtures.cicy1_form()
+        X = np.abs(rng.normal(size=(6, 3)))
+        X[1, 0] = np.nan
+        X[3] = [np.inf, 1.0, 1.0]
+        X[4, 2] = -np.inf
+        finite = [0, 2, 5]
+        with np.errstate(invalid="ignore"):
+            batch = classify_many(F, X)
+        ref = classify_many(F, X[finite])
+        assert batch.code.tolist() == [0, CODE_DEGENERATE, 0, CODE_DEGENERATE,
+                                       CODE_DEGENERATE, 0]
+        assert np.array_equal(batch.code[finite], ref.code)
+        assert np.array_equal(batch.Q[finite], ref.Q)
+        assert np.array_equal(batch.npos[finite], ref.npos)
+        assert np.array_equal(batch.nneg[finite], ref.nneg)
+
+    def test_signature_codes_scale_invariant(self):
+        Q = np.array([[[2.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1e-12]],
+                      [[np.nan, 0.0], [0.0, -1.0]]])
+        code, npos, nneg = signature_codes(np.ones(3), Q)
+        assert code.tolist() == [0, CODE_DEGENERATE, CODE_DEGENERATE]
+        assert np.array_equal(signature_codes(np.ones(3), 1e6 * Q)[0], code)
+        assert (npos.tolist(), nneg.tolist()) == ([1, 1, 0], [1, 0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_classify_names_non_finite_point(self, bad):
+        for fn in (classify, normalize_to_level):
+            with pytest.raises(NonFiniteInput, match=r"non-finite point \[.*, 1.0, 1.0\]"):
+                fn(fixtures.cicy1_form(), [bad, 1.0, 1.0])
 
     def test_rejects_single_point_and_low_degree(self):
         with pytest.raises(ValueError):

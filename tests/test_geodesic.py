@@ -5,14 +5,17 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from kcurv import fixtures
-from kcurv.cone import metric_gram, normalize_to_level, tangent_basis
+from kcurv.cone import CODE_INDEX, classify_many, metric_gram, normalize_to_level, tangent_basis
 from kcurv.errors import (
     GeodesicFailure,
+    LeftIndexCone,
+    NonFiniteInput,
     NonpositiveValue,
     NotInIndexCone,
+    StepRejected,
 )
-from kcurv.fixtures import diagonal, hermitian_det, lorentzian
-from kcurv.geodesic import Trajectory, exp_map, geodesic_integrate
+from kcurv.fixtures import diagonal, hermitian_det, lorentzian, quadric_power
+from kcurv.geodesic import Trajectory, _field, exp_map, geodesic_integrate
 
 
 def hyperboloid_start():
@@ -127,9 +130,13 @@ class TestDiagonalCubicIsometry:
     def test_wall_is_detected(self):
         # This trajectory leaves the positive patch at t ~ 0.36 (the chart
         # is geodesically incomplete); the integrator must refuse to
-        # continue rather than report garbage.
-        with pytest.raises(GeodesicFailure):
+        # continue rather than report garbage, and say where it stopped.
+        with pytest.raises(GeodesicFailure) as info:
             geodesic_integrate(self.F, self.x0, self.v0, 0.6)
+        exc = info.value
+        assert isinstance(exc.step, int) and 300 < exc.step < 360
+        assert exc.t == pytest.approx(exc.step * 0.6 / 600, abs=1e-15)
+        assert f"step {exc.step}" in str(exc)
 
 
 class TestHermitianDeterminant:
@@ -225,3 +232,117 @@ class TestEntryErrors:
         assert traj.speeds.shape == (101,)
         assert traj.level_drifts.shape == (101,)
         assert traj.times[0] == 0.0 and abs(traj.times[-1] - 0.5) < 1e-15
+
+
+def reference_accel(F, x, v):
+    """The geodesic field as the tangent-frame construction computes it:
+    re-centre (x, v) onto (W1, tangent), then solve for the tangent part of
+    the acceleration in a QR tangent basis under the Hodge Gram matrix and
+    add the normal part (d - 1) G(v, v) x.  An independent route to
+    -1/2 phi_2^-1 phi_3(v, v)."""
+    d = F.degree
+    f = F.eval(x)
+    xh = x * f ** (-1.0 / d)
+    g = F.gradient(xh)
+    vh = v - xh * ((g @ v) / (g @ xh))
+    H = np.asarray(F.hessian_matrix(xh))
+    scale = d * (d - 1)
+    Gvv = -(vh @ H @ vh) / scale
+    if d == 2:
+        return Gvv * xh
+    B = tangent_basis(F, xh)
+    gram = -(B @ H @ B.T) / scale
+    c = np.linalg.solve(gram, B @ F.third_contract(xh, vh, vh))
+    return (c @ B) / (2 * scale) + (d - 1) * Gvv * xh
+
+
+def positive_hermitian(rng, n):
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return fixtures.coords_from_hermitian(M @ M.conj().T + 0.5 * np.eye(n))
+
+
+def shifted_first(rng, r):
+    x = rng.standard_normal(r)
+    x[0] = 2.0 + abs(x[0])
+    return x
+
+
+# fixture name -> (form, seeded draw of candidate points)
+FIELD_FIXTURES = {
+    "cicy1": (fixtures.cicy1_form, lambda rng: np.abs(rng.standard_normal(3))),
+    "diagonal43": (lambda: diagonal(4, 3), lambda rng: shifted_first(rng, 3)),
+    "quadric_power4": (lambda: quadric_power(4), lambda rng: shifted_first(rng, 4)),
+    "hermdet3": (lambda: hermitian_det(3), lambda rng: positive_hermitian(rng, 3)),
+    "lorentzian4": (lambda: lorentzian(4), lambda rng: shifted_first(rng, 4)),
+    "hermdet2": (lambda: hermitian_det(2), lambda rng: positive_hermitian(rng, 2)),
+}
+
+
+def index_cone_points(name, n, seed):
+    """The form and n index-cone points of a seeded draw, scaled off W1,
+    each with a random ambient direction."""
+    make, draw = FIELD_FIXTURES[name]
+    F = make()
+    rng = np.random.default_rng(seed)
+    X = np.array([draw(rng) for _ in range(4 * n)])
+    pts = X[classify_many(F, X).code == CODE_INDEX][:n]
+    assert len(pts) == n
+    return F, pts * rng.uniform(0.5, 2.0, (n, 1)), rng.standard_normal((n, F.dim))
+
+
+class TestAnalyticField:
+    @pytest.mark.parametrize("name", sorted(FIELD_FIXTURES))
+    def test_matches_reference_field(self, name):
+        F, X, V = index_cone_points(name, 8, 11)
+        for x, v in zip(X, V):
+            a = _field(F, x, v)[4]
+            ref = reference_accel(F, x, v)
+            assert np.linalg.norm(a - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name", ["cicy1", "diagonal43", "quadric_power4", "hermdet3"])
+    def test_acceleration_keeps_tangency(self, name):
+        # d/dt (grad F(x) . x') = x'^T H x' + grad F . x'' vanishes on the flow
+        F, X, V = index_cone_points(name, 8, 12)
+        for x, v in zip(X, V):
+            f, xh, vh, H, a = _field(F, x, v)
+            g = F.gradient(xh)
+            vHv = vh @ H @ vh
+            assert abs(F.eval(xh) - 1.0) < 1e-12 and abs(g @ vh) < 1e-12 * np.linalg.norm(g)
+            assert abs(g @ a + vHv) <= 1e-10 * (np.linalg.norm(g) * np.linalg.norm(a) + abs(vHv))
+
+    def test_quartic_power_follows_the_hyperboloid(self):
+        # W1 of q^2 is the hyperboloid q = 1 with a constant multiple of its
+        # Minkowski metric: x(t) = cosh(st) x0 + sinh(st)/s v0, s^2 = -q(v0).
+        F = quadric_power(4)
+        x0 = np.array([np.sqrt(1.0 + 0.5**2 + 0.2**2 + 0.1**2), 0.5, 0.2, 0.1])
+        w = np.array([0.3, -0.8, 0.4, 0.6])
+        mink = np.array([1.0, -1.0, -1.0, -1.0])
+        v0 = w - ((w * mink) @ x0) * x0
+        s = np.sqrt(-((v0 * mink) @ v0))
+        traj = geodesic_integrate(F, x0, v0, 1.0)
+        exact = np.cosh(s) * x0 + np.sinh(s) / s * v0
+        assert np.max(np.abs(traj.endpoint - exact)) < 1e-9
+        assert np.max(traj.level_drifts) < 1e-9
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_start_point(self, bad):
+        with pytest.raises(NonFiniteInput, match="start point"):
+            geodesic_integrate(lorentzian(3), [bad, 1.0, 0.0], [0.0, 1.0, 0.0], 0.1)
+
+    def test_direction(self):
+        x0, _ = hyperboloid_start()
+        with pytest.raises(NonFiniteInput, match="direction"):
+            geodesic_integrate(lorentzian(3), x0, [0.0, np.nan, 0.0], 0.1)
+
+    def test_state_overflowing_mid_run_leaves_the_cone(self):
+        x0, v0 = hyperboloid_start()
+        with np.errstate(all="ignore"), pytest.raises(LeftIndexCone) as info:
+            geodesic_integrate(lorentzian(3), x0, v0, 1e200, steps=2)
+        assert info.value.step == 1 and info.value.t == 5e199
+
+
+class TestStructuredFailure:
+    def test_fields_default_to_none(self):
+        assert GeodesicFailure("x").step is None and StepRejected("x").t is None
