@@ -305,8 +305,10 @@ def region_grid(F: Form, fix: int, window, res: int):
         raise KcurvError("--res must be at least 2")
     x0, x1, y0, y1 = (Fraction(str(w)) for w in window)
     H = F.hessian_det_poly()
-    bp = aronhold.bound_polynomials(F)
-    Pu, Pl = bp["P_upper"], bp["P_lower"]
+    # P_upper = 6^6 S F^2 - 9 H^2 and P_lower = 6^6 S F^2 + 3 H^2 (see
+    # aronhold.bound_polynomials) take their signs from F(p), H(p) and S
+    S = aronhold.aronhold_S(F)
+    num, den = aronhold.SIX_TO_6 * S.numerator, S.denominator
     free = [i for i in range(3) if i != fix]
     odd = F.degree % 2 == 1
 
@@ -321,9 +323,10 @@ def region_grid(F: Form, fix: int, window, res: int):
             p = _clear_denominators(point)
             fval = F.eval_exact(p)
             sF = _sign(fval)
-            sH = _sign(H.eval_exact(p))
-            sPu = _sign(Pu.eval_exact(p))
-            sPl = _sign(Pl.eval_exact(p))
+            hval = H.eval_exact(p)
+            sH = _sign(hval)
+            sPu = _sign(num * fval * fval - 9 * den * hval * hval)
+            sPl = _sign(num * fval * fval + 3 * den * hval * hval)
             in_cone = 0
             if sF > 0 or (sF < 0 and odd):
                 # classify_exact applies the antipodal lift for odd degree

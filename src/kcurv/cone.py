@@ -17,6 +17,7 @@ exact for the real-rooted characteristic polynomial of a symmetric matrix).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,14 +127,17 @@ def classify_many(F: Form, X, tol: float = DEFAULT_TOL) -> ConeBatch:
     if X.ndim != 2:
         raise ValueError("classify_many expects an (n, dim) array")
     d = F.degree
-    value = F.eval(X)
-    flipped = value < 0 if d % 2 == 1 else np.zeros(len(X), dtype=bool)
-    if flipped.any():
-        X = np.where(flipped[:, None], -X, X)
-        value = np.where(flipped, -value, value)
-    Q = F.hessian_many(X) / (d * (d - 1))
+    bad = ~np.isfinite(X).all(axis=1)
+    # a non-finite row may sum inf - inf; it is coded degenerate, not warned about
+    with np.errstate(invalid="ignore") if bad.any() else nullcontext():
+        value = F.eval(X)
+        flipped = value < 0 if d % 2 == 1 else np.zeros(len(X), dtype=bool)
+        if flipped.any():
+            X = np.where(flipped[:, None], -X, X)
+            value = np.where(flipped, -value, value)
+        Q = F.hessian_many(X) / (d * (d - 1))
     code, npos, nneg = signature_codes(value, Q, tol)
-    code[~X.any(axis=1) | ~np.isfinite(X).all(axis=1)] = CODE_DEGENERATE
+    code[~X.any(axis=1) | bad] = CODE_DEGENERATE
     return ConeBatch(code=code, x=X, value=value, Q=Q, npos=npos, nneg=nneg,
                      flipped=flipped)
 
@@ -277,6 +281,25 @@ def metric_gram(F: Form, x, vectors):
     return -(B @ H @ B.T) / (d * (d - 1))
 
 
+def _gram_schmidt(G, rows, frame=(), floor: float = 1e-12, size=None):
+    """Modified Gram-Schmidt of ``rows`` under the metric matrix G, extending
+    the metric-orthonormal ``frame``: a row whose pivot w.G.w falls below
+    ``floor`` is skipped, and the run stops once ``size`` vectors are held.
+    Returns the list of frame vectors; callers decide what a short list means.
+    """
+    out = list(frame)
+    for row in rows:
+        if size is not None and len(out) >= size:
+            break
+        w = np.array(row, dtype=float)
+        for u in out:
+            w -= (w @ G @ u) * u
+        nn = w @ G @ w
+        if nn >= floor:
+            out.append(w / np.sqrt(nn))
+    return out
+
+
 def orthonormal_frame(F: Form, x, seed: int = 0) -> TangentFrame:
     """Metric-orthonormal tangent frame at a W1 index-cone point.
 
@@ -292,16 +315,7 @@ def orthonormal_frame(F: Form, x, seed: int = 0) -> TangentFrame:
     if seed:
         rng = np.random.default_rng(seed)
         B = rng.standard_normal((B.shape[0], B.shape[0])) @ B
-    d = F.degree
-    H = np.asarray(F.hessian_matrix(cp.x))
-    scale = d * (d - 1)
-    frame = []
-    for row in B:
-        w = row.copy()
-        for u in frame:
-            w -= (-(w @ H @ u) / scale) * u
-        nn = -(w @ H @ w) / scale
-        if nn < 1e-12:
-            raise DegenerateMetric(f"Gram-Schmidt pivot {nn:g} below 1e-12")
-        frame.append(w / np.sqrt(nn))
+    frame = _gram_schmidt(-cp.Q, B)
+    if len(frame) < len(B):
+        raise DegenerateMetric("Gram-Schmidt pivot below 1e-12")
     return TangentFrame(base=cp, vectors=np.asarray(frame))

@@ -12,10 +12,20 @@ pulls the metric back to the closed form
 
 verified symbolically against -F~(phi^(d-2), d_i phi, d_j phi) before being
 relied on (a one-page multilinearity computation using
-F~(X^(d-1), L) = grad F(X).L / d).  Curvature then comes from first and
-second central finite differences of g at u = 0 with fourth-order stencils
-at steps h and h/2 plus Richardson extrapolation, so the spread of the two
-estimates divided by 15 is the textbook error estimate.
+F~(X^(d-1), L) = grad F(X).L / d).  One routine, ``_riemann_at_step``,
+evaluates g on a fourth-order central stencil around u = 0 in a single
+batch, takes dg on every axis and d2g on the requested axis pairs, and
+since g(0) = I reads the whole tensor off one closed formula:
+
+    R_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik)
+             - d_i g_lp Gamma^p_jk + d_j g_lp Gamma^p_ik
+             + Gamma^s_jk Gamma^l_is - Gamma^s_ik Gamma^l_js,
+
+with Gamma^l_jk = 1/2 (d_j g_kl + d_k g_jl - d_l g_jk).  The sectional
+curvature of the (e_0, e_1) plane is R_0110 and needs d2g on three pairs
+only; the full tensor needs every pair.  Both run at steps h and h/2 and
+are Richardson-extrapolated, so the spread of the two estimates divided by
+15 is the textbook error estimate.
 
 The sign convention is calibrated, not assumed: with the curvature operator
 R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z and
@@ -33,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import INDEX_CONE, classify, normalize_to_level, tangent_basis
+from .cone import INDEX_CONE, _gram_schmidt, classify, normalize_to_level, tangent_basis
 from .errors import (
     ChartExit,
     DegeneratePlane,
@@ -113,24 +123,18 @@ class ChartMetric:
         return self.values(np.asarray(u, dtype=float)[None, :])[0]
 
 
-def _plane_frame(F, x, L1, L2, grad, H, basis):
+def _plane_frame(x, L1, L2, grad, G, basis):
     """Metric-orthonormal frame with slots 0, 1 spanning the projected plane.
 
-    ``grad``, ``H`` and ``basis`` are the gradient, Hessian and
-    :func:`tangent_basis` at x.  Projection to the tangent space is radial
-    (along x), which commutes with linear pullback; completion runs metric
-    Gram-Schmidt over the tangent basis, skipping dependent directions.
-    Near the cone wall Gram-Schmidt can lose orthonormality; a frame whose
-    metric Gram is off the identity by more than FRAME_TOL is whitened once
-    by the Gram's Cholesky factor, which keeps slots 0 and 1 spanning the
-    plane.
+    ``grad``, ``G`` and ``basis`` are the gradient, the Hodge metric matrix
+    ``-ConePoint.Q`` and :func:`tangent_basis` at x.  Projection to the
+    tangent space is radial (along x), which commutes with linear pullback;
+    completion runs metric Gram-Schmidt over the tangent basis, skipping
+    dependent directions.  Near the cone wall Gram-Schmidt can lose
+    orthonormality; a frame whose metric Gram is off the identity by more
+    than FRAME_TOL is whitened once by the Gram's Cholesky factor, which
+    keeps slots 0 and 1 spanning the plane.
     """
-    d = F.degree
-    scale = d * (d - 1)
-
-    def g(a, b):
-        return -(a @ H @ b) / scale
-
     gx = grad @ x
     P = []
     for L in (L1, L2):
@@ -140,33 +144,18 @@ def _plane_frame(F, x, L1, L2, grad, H, basis):
         if nw < 1e-14:
             raise DegeneratePlane("plane vector projects to zero")
         P.append(w / nw)
-    gram = np.array([[g(P[0], P[0]), g(P[0], P[1])],
-                     [g(P[1], P[0]), g(P[1], P[1])]])
-    if np.linalg.det(gram) < 1e-12:
-        raise DegeneratePlane(f"projected plane Gram determinant {np.linalg.det(gram):g}")
-    frame = []
-    for w in P:
-        v = w.copy()
-        for u in frame:
-            v = v - g(v, u) * u
-        nn = g(v, v)
-        if nn < 1e-12:
-            raise DegeneratePlane("projected plane vectors are metrically dependent")
-        frame.append(v / np.sqrt(nn))
-    for cand in basis:
-        if len(frame) == F.dim - 1:
-            break
-        v = cand.copy()
-        for u in frame:
-            v = v - g(v, u) * u
-        nn = g(v, v)
-        if nn < 1e-10:
-            continue
-        frame.append(v / np.sqrt(nn))
-    if len(frame) != F.dim - 1:
+    P = np.asarray(P)
+    det = np.linalg.det(P @ G @ P.T)
+    if det < 1e-12:
+        raise DegeneratePlane(f"projected plane Gram determinant {det:g}")
+    frame = _gram_schmidt(G, P)
+    if len(frame) < 2:
+        raise DegeneratePlane("projected plane vectors are metrically dependent")
+    frame = _gram_schmidt(G, basis, frame, floor=1e-10, size=len(basis))
+    if len(frame) != len(basis):
         raise DegeneratePlane("could not complete the plane to a full frame")
     frame = np.asarray(frame)
-    gram = -(frame @ H @ frame.T) / scale
+    gram = frame @ G @ frame.T
     if np.max(np.abs(gram - np.eye(len(frame)))) > FRAME_TOL:
         frame = np.linalg.solve(np.linalg.cholesky(gram), frame)
     return frame
@@ -177,123 +166,77 @@ def _prepare(F, x, L1, L2, cfg):
     cp = classify(F, xn)
     if cp.classification != INDEX_CONE:
         raise NotInIndexCone(f"classification is {cp.classification}")
-    H = np.asarray(F.hessian_matrix(xn))
+    G = -cp.Q
     basis = tangent_basis(F, xn)
-    gram = -(basis @ H @ basis.T) / (F.degree * (F.degree - 1))
-    eig = np.linalg.eigvalsh(gram)
+    eig = np.linalg.eigvalsh(basis @ G @ basis.T)
     if eig[0] <= 0 or eig[0] / eig[-1] < cfg.gram_condition_floor:
         raise IllConditioned(
             f"tangent Gram conditioning {eig[0]:.3g}/{eig[-1]:.3g} below floor")
-    frame = _plane_frame(F, xn, L1, L2, cp.grad, H, basis)
-    return xn, frame
+    return xn, _plane_frame(xn, L1, L2, cp.grad, G, basis)
 
 
-def _first_and_second_diffs(cm: ChartMetric, h: float, pairs):
-    """dg/du_a for all a, and d2g/du_a du_b for the requested pairs.
+def _riemann_at_step(cm: ChartMetric, h: float, pairs):
+    """R[i, j, k, l] = g(R(e_i, e_j) e_k, e_l) at u = 0 from one step size h.
 
-    Returns (G1, G2) with G1 of shape (m, m, m) and G2 a dict over pairs.
-    One batched metric evaluation covers the whole stencil.
+    One batched metric evaluation covers the stencil: the origin, 4 rows per
+    axis and 16 rows per mixed pair of ``pairs``.  dg comes from every axis,
+    d2g only from ``pairs`` (other blocks stay zero, so only the entries that
+    need no other second derivative are meaningful).
     """
     m = cm.m
-    offsets = {(): 0}
-    rows = [np.zeros(m)]
-
-    def row_for(steps):
-        key = tuple(sorted(steps.items()))
-        if key not in offsets:
-            u = np.zeros(m)
-            for axis, k in steps.items():
-                u[axis] = k * h
-            offsets[key] = len(rows)
-            rows.append(u)
-        return offsets[key]
-
-    for a in range(m):
-        for k in W1_OFFSETS:
-            row_for({a: k})
-    for (a, b) in pairs:
-        if a == b:
-            for k in W1_OFFSETS:
-                row_for({a: k})
-        else:
-            for ka in W1_OFFSETS:
-                for kb in W1_OFFSETS:
-                    row_for({a: ka, b: kb})
-    vals = cm.values(np.asarray(rows))
-    g0 = vals[0]
-
-    def at(steps):
-        return vals[offsets[tuple(sorted(steps.items()))]]
-
-    G1 = np.zeros((m, m, m))
-    for a in range(m):
-        acc = np.zeros((m, m))
-        for k, w in zip(W1_OFFSETS, W1_WEIGHTS):
-            acc += w * at({a: k})
-        G1[a] = acc / h
-    G2 = {}
-    for (a, b) in pairs:
-        acc = np.zeros((m, m))
-        if a == b:
-            for k, w in zip(W2_OFFSETS, W2_WEIGHTS):
-                acc += w * (g0 if k == 0 else at({a: k}))
-            G2[(a, b)] = acc / h ** 2
-        else:
-            for ka, wa in zip(W1_OFFSETS, W1_WEIGHTS):
-                for kb, wb in zip(W1_OFFSETS, W1_WEIGHTS):
-                    acc += wa * wb * at({a: ka, b: kb})
-            G2[(a, b)] = acc / h ** 2
-    return g0, G1, G2
-
-
-def _christoffels(G1):
-    """Gamma[l, j, k] = Gamma^l_jk at u = 0, where g(0) = identity."""
-    # Gamma^l_jk = 1/2 (d_j g_kl + d_k g_jl - d_l g_jk)
-    return 0.5 * (np.einsum("jkl->ljk", G1) + np.einsum("kjl->ljk", G1)
-                  - np.einsum("ljk->ljk", G1))
-
-
-def _dgamma(G1, G2, Gamma, a, l, j, k):
-    """d_a Gamma^l_jk at u = 0 (identity metric, so dg^{-1} = -dg)."""
-    corr = -np.dot(G1[a][l], Gamma[:, j, k])
-    second = 0.5 * (_g2(G2, a, j)[k, l] + _g2(G2, a, k)[j, l] - _g2(G2, a, l)[j, k])
-    return corr + second
-
-
-def _g2(G2, a, b):
-    return G2[(a, b)] if (a, b) in G2 else G2[(b, a)]
-
-
-def _K_at_step(cm, h):
-    """Sectional curvature of the (e0, e1) chart plane from one step size."""
-    m = cm.m
-    pairs = [(0, 0), (1, 1), (0, 1)]
-    g0, G1, G2 = _first_and_second_diffs(cm, h, pairs)
-    if np.max(np.abs(g0 - np.eye(m))) > FRAME_TOL:
+    eye = np.eye(m)
+    k = np.array(W1_OFFSETS) * h
+    diag = [a for a, b in pairs if a == b]
+    mixed = [(a, b) for a, b in pairs if a != b]
+    rows = [np.zeros((1, m)), (k[None, :, None] * eye[:, None, :]).reshape(4 * m, m)]
+    rows += [(k[:, None, None] * eye[a] + k[None, :, None] * eye[b]).reshape(16, m)
+             for a, b in mixed]
+    V = cm.values(np.concatenate(rows))
+    g0 = V[0]
+    if np.max(np.abs(g0 - eye)) > FRAME_TOL:
         raise IllConditioned("chart metric at 0 is not the identity; frame drifted")
-    Gamma = _christoffels(G1)
-    d0_G011 = _dgamma(G1, G2, Gamma, 0, 0, 1, 1)
-    d1_G001 = _dgamma(G1, G2, Gamma, 1, 0, 0, 1)
-    quad = float(Gamma[:, 1, 1] @ Gamma[0, 0, :] - Gamma[:, 0, 1] @ Gamma[0, 1, :])
-    return d0_G011 - d1_G001 + quad
+    w1, w2 = np.array(W1_WEIGHTS), np.array(W2_WEIGHTS)
+    Vax = V[1:1 + 4 * m].reshape(m, 4, m, m)
+    dg = np.einsum("k,akij->aij", w1, Vax) / h  # dg[a, i, j] = d_a g_ij
+    d2g = np.zeros((m, m, m, m))                # d2g[a, b, i, j] = d_a d_b g_ij
+    d2g[diag, diag] = (np.einsum("k,akij->aij", w2[[0, 1, 3, 4]], Vax[diag])
+                       + w2[2] * g0) / h ** 2
+    if mixed:
+        a, b = np.array(mixed).T
+        Vmix = V[1 + 4 * m:].reshape(len(mixed), 4, 4, m, m)
+        d2g[a, b] = d2g[b, a] = np.einsum("k,l,pklij->pij", w1, w1, Vmix) / h ** 2
+    # Gam[l, j, k] = Gamma^l_jk = 1/2 (d_j g_kl + d_k g_jl - d_l g_jk)
+    Gam = 0.5 * (np.einsum("jkl->ljk", dg) + np.einsum("kjl->ljk", dg) - dg)
+    return (0.5 * (np.einsum("ikjl->ijkl", d2g) - np.einsum("iljk->ijkl", d2g)
+                   - np.einsum("jkil->ijkl", d2g) + np.einsum("jlik->ijkl", d2g))
+            - np.einsum("ilp,pjk->ijkl", dg, Gam) + np.einsum("jlp,pik->ijkl", dg, Gam)
+            + np.einsum("sjk,lis->ijkl", Gam, Gam) - np.einsum("sik,ljs->ijkl", Gam, Gam))
+
+
+def _extrapolate(cm, cfg, pairs, part=...):
+    """Richardson extrapolation of ``_riemann_at_step(cm, h, pairs)[part]``
+    from steps h and h/2; the error estimate max|R_h - R_{h/2}| / 15 must
+    stay below cfg.max_err."""
+    R_h = _riemann_at_step(cm, cfg.h, pairs)[part]
+    R_h2 = _riemann_at_step(cm, cfg.h / 2, pairs)[part]
+    err = float(np.max(np.abs(R_h - R_h2)) / 15.0)
+    if err > cfg.max_err:
+        raise IllConditioned(f"Richardson error estimate {err:g} exceeds {cfg.max_err:g}")
+    return (16.0 * R_h2 - R_h) / 15.0, err
 
 
 def sectional_curvature_numeric(F: Form, x, L1, L2, cfg: FDConfig = FDConfig()) -> CurvatureSample:
     """Sectional curvature K(span{L1, L2}) at x (normalized onto W1).
 
+    K = R[0, 1, 1, 0] over a frame whose first two slots span the plane,
     Richardson-extrapolated from steps h and h/2; err_estimate is
     |K_h - K_{h/2}| / 15 and must stay below cfg.max_err.
     """
     xn, frame = _prepare(F, x, L1, L2, cfg)
-    cm = ChartMetric(F, xn, frame)
-    K_h = _K_at_step(cm, cfg.h)
-    K_h2 = _K_at_step(cm, cfg.h / 2)
-    K = (16.0 * K_h2 - K_h) / 15.0
-    err = abs(K_h - K_h2) / 15.0
-    if err > cfg.max_err:
-        raise IllConditioned(f"Richardson error estimate {err:g} exceeds {cfg.max_err:g}")
+    K, err = _extrapolate(ChartMetric(F, xn, frame), cfg, ((0, 0), (1, 1), (0, 1)),
+                          (0, 1, 1, 0))
     return CurvatureSample(point=xn, plane=(frame[0], frame[1]), K=float(K),
-                           err_estimate=float(err), method="finite_difference")
+                           err_estimate=err, method="finite_difference")
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,26 +245,6 @@ class TensorResult:
     err_estimate: float
     frame: np.ndarray
     point: np.ndarray
-
-
-def _tensor_at_step(cm, h):
-    m = cm.m
-    pairs = [(a, b) for a in range(m) for b in range(a, m)]
-    g0, G1, G2 = _first_and_second_diffs(cm, h, pairs)
-    if np.max(np.abs(g0 - np.eye(m))) > FRAME_TOL:
-        raise IllConditioned("chart metric at 0 is not the identity; frame drifted")
-    Gamma = _christoffels(G1)
-    dG = np.zeros((m, m, m, m))  # dG[a, l, j, k] = d_a Gamma^l_jk
-    for a in range(m):
-        for l in range(m):
-            for j in range(m):
-                for k in range(m):
-                    dG[a, l, j, k] = _dgamma(G1, G2, Gamma, a, l, j, k)
-    # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^s_jk Gamma^l_is - Gamma^s_ik Gamma^l_js
-    Rup = (np.einsum("iljk->ijkl", dG) - np.einsum("jlik->ijkl", dG)
-           + np.einsum("sjk,lis->ijkl", Gamma, Gamma)
-           - np.einsum("sik,ljs->ijkl", Gamma, Gamma))
-    return Rup  # with g = identity, R_{ijkl} = R^l_ijk as stored
 
 
 def curvature_tensor_numeric(F: Form, x, frame, cfg: FDConfig = FDConfig()) -> TensorResult:
@@ -336,12 +259,7 @@ def curvature_tensor_numeric(F: Form, x, frame, cfg: FDConfig = FDConfig()) -> T
     if cp.classification != INDEX_CONE:
         raise NotInIndexCone(f"classification is {cp.classification}")
     cm = ChartMetric(F, xn, vectors)
-    R_h = _tensor_at_step(cm, cfg.h)
-    R_h2 = _tensor_at_step(cm, cfg.h / 2)
-    R = (16.0 * R_h2 - R_h) / 15.0
-    err = float(np.max(np.abs(R_h - R_h2)) / 15.0)
-    if err > cfg.max_err:
-        raise IllConditioned(f"Richardson error estimate {err:g} exceeds {cfg.max_err:g}")
+    R, err = _extrapolate(cm, cfg, [(a, b) for a in range(cm.m) for b in range(a, cm.m)])
     return TensorResult(tensor=R, err_estimate=err, frame=np.asarray(vectors), point=xn)
 
 

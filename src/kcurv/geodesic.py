@@ -152,10 +152,7 @@ def geodesic_integrate(F: Form, x0, v0, T: float, steps: int | None = None) -> T
 def exp_map(F: Form, x0, v, steps: int | None = None) -> np.ndarray:
     """Riemannian exponential: endpoint of the unit-time geodesic from x0
     with initial velocity v."""
-    vn = np.asarray(v, dtype=float)
-    if not np.any(vn):
-        return _field(F, np.asarray(x0, dtype=float), vn)[1]
     if steps is None:
-        speed = float(np.linalg.norm(vn))
+        speed = float(np.linalg.norm(np.asarray(v, dtype=float)))
         steps = max(1, int(round(DEFAULT_STEPS_PER_UNIT_TIME * max(speed, 1e-3))))
     return geodesic_integrate(F, x0, v, 1.0, steps=steps).endpoint

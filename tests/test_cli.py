@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kcurv import cone, geodesic
-from kcurv.cli import _draw_point, _merge_vector_flags, main
+from kcurv import aronhold, cone, geodesic
+from kcurv.cli import _draw_point, _merge_vector_flags, main, region_grid
 from kcurv.errors import GeodesicFailure, KcurvError, NearDegenerate
 from kcurv.fixtures import (
     cicy1_form,
     concurrent_lines,
+    elliptic_cubic,
     hermitian_det,
     lorentzian,
     nodal_cubic,
@@ -328,6 +329,25 @@ class TestRegionCommand:
         assert in_cone, "window should intersect the index cone"
         for r in in_cone:
             assert r["signPupper"] == "-1"
+
+    @pytest.mark.parametrize("F", [nodal_cubic(), cicy1_form(), elliptic_cubic(),
+                                   Form(3, 3, {(3, 0, 0): Fraction(1, 3), (0, 2, 1): -1,
+                                               (1, 1, 1): Fraction(5, 2),
+                                               (0, 0, 3): Fraction(-2, 7)})],
+                             ids=["nodal", "cicy1", "elliptic", "rational"])
+    def test_bound_signs_match_bound_polynomials(self, F):
+        # the grid takes the P_upper / P_lower signs from F(p), H(p) and S
+        bp = aronhold.bound_polynomials(F)
+        rows = list(csv.DictReader(region_grid(F, 1, (-2, 2, -1.5, 1.5), 7).splitlines()))
+        assert len(rows) == 49
+        signs = set()
+        for r in rows:
+            p = [Fraction(r["x"]), Fraction(1), Fraction(r["y"])]
+            for col, P in (("signPupper", bp["P_upper"]), ("signPlower", bp["P_lower"])):
+                value = P.eval_exact(p)
+                assert int(r[col]) == (value > 0) - (value < 0)
+                signs.add(int(r[col]))
+        assert {-1, 1} <= signs
 
     def test_rejects_bad_fix_index(self, nodal_path, tmp_path):
         rc = main(["region", "--form", nodal_path, "--fix", "5",

@@ -1,6 +1,7 @@
 """Cone classification, exact signatures, level normalization, tangent
 frames, and the Hodge metric."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -160,8 +161,7 @@ class TestClassifyMany:
         X[3] = [np.inf, 1.0, 1.0]
         X[4, 2] = -np.inf
         finite = [0, 2, 5]
-        with np.errstate(invalid="ignore"):
-            batch = classify_many(F, X)
+        batch = classify_many(F, X)
         ref = classify_many(F, X[finite])
         assert batch.code.tolist() == [0, CODE_DEGENERATE, 0, CODE_DEGENERATE,
                                        CODE_DEGENERATE, 0]
@@ -169,6 +169,15 @@ class TestClassifyMany:
         assert np.array_equal(batch.Q[finite], ref.Q)
         assert np.array_equal(batch.npos[finite], ref.npos)
         assert np.array_equal(batch.nneg[finite], ref.nneg)
+
+    @pytest.mark.parametrize("F,row", [(NODAL, [1.0, -np.inf, 1.0]),
+                                       (LOR3, [np.inf, np.inf, 1.0])],
+                             ids=["nodal", "lorentzian3"])
+    def test_infinite_row_does_not_warn(self, F, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = classify_many(F, np.array([row, [2.0, 1.0, 0.5]]))
+        assert batch.code[0] == CODE_DEGENERATE
 
     def test_signature_codes_scale_invariant(self):
         Q = np.array([[[2.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1e-12]],

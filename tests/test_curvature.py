@@ -8,14 +8,26 @@ import pytest
 from kcurv.aronhold import sectional_curvature_closed
 from kcurv.cone import normalize_to_level, orthonormal_frame, tangent_basis
 from kcurv.curvature import (
+    W1_OFFSETS,
+    W1_WEIGHTS,
+    W2_OFFSETS,
+    W2_WEIGHTS,
     ChartMetric,
     FDConfig,
+    _riemann_at_step,
     curvature_tensor_numeric,
     sectional_curvature_numeric,
     sectional_curvature_surface,
 )
 from kcurv.errors import DegeneratePlane, IllConditioned, NotInIndexCone
-from kcurv.fixtures import diagonal, hermitian_det, lorentzian, quadric_power
+from kcurv.fixtures import (
+    cicy1_form,
+    coords_from_hermitian,
+    diagonal,
+    hermitian_det,
+    lorentzian,
+    quadric_power,
+)
 from kcurv.symform import Form
 
 
@@ -230,6 +242,137 @@ class TestCurvatureTensor:
         K01 = res.tensor[0, 1, 1, 0]
         s = sectional_curvature_numeric(F, x, fr.vectors[0], fr.vectors[1])
         assert abs(K01 - s.K) < 1e-6
+
+    def test_symmetries_and_sectional_at_m8(self):
+        """hermitian_det(3) has r = 9, so the frame has 8 vectors."""
+        F = hermitian_det(3)
+        x = normalize_to_level(F, HERM3_POINT)
+        fr = orthonormal_frame(F, x, seed=7)
+        R = curvature_tensor_numeric(F, x, fr).tensor
+        assert R.shape == (8, 8, 8, 8)
+        assert np.allclose(R, -np.transpose(R, (1, 0, 2, 3)), atol=1e-6)
+        assert np.allclose(R, -np.transpose(R, (0, 1, 3, 2)), atol=1e-6)
+        assert np.allclose(R, np.transpose(R, (2, 3, 0, 1)), atol=1e-6)
+        bianchi = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
+        assert np.max(np.abs(bianchi)) < 1e-6
+        s = sectional_curvature_numeric(F, x, fr.vectors[0], fr.vectors[1])
+        assert abs(R[0, 1, 1, 0] - s.K) < 1e-6
+
+
+def _ref_diffs(cm, h, pairs):
+    """Loop-built stencil of the earlier engine: (g0, dg, {pair: d2g})."""
+    m = cm.m
+    offsets = {(): 0}
+    rows = [np.zeros(m)]
+
+    def row_for(steps):
+        key = tuple(sorted(steps.items()))
+        if key not in offsets:
+            u = np.zeros(m)
+            for axis, k in steps.items():
+                u[axis] = k * h
+            offsets[key] = len(rows)
+            rows.append(u)
+        return offsets[key]
+
+    for a in range(m):
+        for k in W1_OFFSETS:
+            row_for({a: k})
+    for (a, b) in pairs:
+        if a != b:
+            for ka in W1_OFFSETS:
+                for kb in W1_OFFSETS:
+                    row_for({a: ka, b: kb})
+    vals = cm.values(np.asarray(rows))
+
+    def at(steps):
+        return vals[offsets[tuple(sorted(steps.items()))]]
+
+    G1 = np.zeros((m, m, m))
+    for a in range(m):
+        acc = np.zeros((m, m))
+        for k, w in zip(W1_OFFSETS, W1_WEIGHTS):
+            acc += w * at({a: k})
+        G1[a] = acc / h
+    G2 = {}
+    for (a, b) in pairs:
+        acc = np.zeros((m, m))
+        if a == b:
+            for k, w in zip(W2_OFFSETS, W2_WEIGHTS):
+                acc += w * (vals[0] if k == 0 else at({a: k}))
+        else:
+            for ka, wa in zip(W1_OFFSETS, W1_WEIGHTS):
+                for kb, wb in zip(W1_OFFSETS, W1_WEIGHTS):
+                    acc += wa * wb * at({a: ka, b: kb})
+        G2[(a, b)] = G2[(b, a)] = acc / h ** 2
+    return vals[0], G1, G2
+
+
+def _ref_dgamma(G1, G2, Gamma, a, l, j, k):
+    """d_a Gamma^l_jk at u = 0 (identity metric, so dg^{-1} = -dg)."""
+    corr = -np.dot(G1[a][l], Gamma[:, j, k])
+    return corr + 0.5 * (G2[(a, j)][k, l] + G2[(a, k)][j, l] - G2[(a, l)][j, k])
+
+
+def _ref_christoffels(G1):
+    return 0.5 * (np.einsum("jkl->ljk", G1) + np.einsum("kjl->ljk", G1) - G1)
+
+
+def _ref_K(cm, h):
+    """Sectional curvature of the (e0, e1) plane, term by term."""
+    _, G1, G2 = _ref_diffs(cm, h, [(0, 0), (1, 1), (0, 1)])
+    Gamma = _ref_christoffels(G1)
+    quad = Gamma[:, 1, 1] @ Gamma[0, 0, :] - Gamma[:, 0, 1] @ Gamma[0, 1, :]
+    return (_ref_dgamma(G1, G2, Gamma, 0, 0, 1, 1)
+            - _ref_dgamma(G1, G2, Gamma, 1, 0, 0, 1) + quad)
+
+
+def _ref_tensor(cm, h):
+    """R_ijkl = R^l_ijk from d_a Gamma^l_jk filled one entry at a time."""
+    m = cm.m
+    _, G1, G2 = _ref_diffs(cm, h, [(a, b) for a in range(m) for b in range(a, m)])
+    Gamma = _ref_christoffels(G1)
+    dG = np.zeros((m, m, m, m))
+    for a in range(m):
+        for l in range(m):
+            for j in range(m):
+                for k in range(m):
+                    dG[a, l, j, k] = _ref_dgamma(G1, G2, Gamma, a, l, j, k)
+    return (np.einsum("iljk->ijkl", dG) - np.einsum("jlik->ijkl", dG)
+            + np.einsum("sjk,lis->ijkl", Gamma, Gamma)
+            - np.einsum("sik,ljs->ijkl", Gamma, Gamma))
+
+
+HERM3_POINT = coords_from_hermitian(np.array([[2.0, 0.3 + 0.1j, -0.2j],
+                                              [0.3 - 0.1j, 1.5, 0.4],
+                                              [0.2j, 0.4, 1.0]]))
+REFERENCE_CASES = {
+    "lorentzian4": (lorentzian(4), [2.0, 1.0, 0.5, 0.5]),
+    "cicy1": (cicy1_form(), [2.0, 1.0, 1.0]),
+    "quadric_power4": (quadric_power(4), [2.0, 1.0, 0.5, 0.5]),
+    "hermdet3": (hermitian_det(3), HERM3_POINT),
+}
+
+
+class TestRiemannRoutine:
+    """_riemann_at_step against the earlier loop-built Christoffel engine."""
+
+    @pytest.fixture(params=sorted(REFERENCE_CASES))
+    def chart(self, request):
+        F, x = REFERENCE_CASES[request.param]
+        xn = normalize_to_level(F, np.asarray(x))
+        return ChartMetric(F, xn, orthonormal_frame(F, xn, seed=3).vectors)
+
+    @pytest.mark.parametrize("h", [1e-3, 5e-4])
+    def test_sectional_matches_reference(self, chart, h):
+        R = _riemann_at_step(chart, h, ((0, 0), (1, 1), (0, 1)))
+        assert abs(R[0, 1, 1, 0] - _ref_K(chart, h)) < 1e-8
+
+    @pytest.mark.parametrize("h", [1e-3, 5e-4])
+    def test_tensor_matches_reference(self, chart, h):
+        m = chart.m
+        R = _riemann_at_step(chart, h, [(a, b) for a in range(m) for b in range(a, m)])
+        assert np.max(np.abs(R - _ref_tensor(chart, h))) < 1e-8
 
 
 class TestSurfaceCrossCheck:

@@ -184,6 +184,17 @@ class TestExpMap:
         x = np.array([2.0 * np.sqrt(2.0), 2.0, 0.0])  # F(x) = 4
         out = exp_map(F, x, np.zeros(3))
         assert np.allclose(out, x / 2.0, atol=1e-14)
+        F = fixtures.cicy1_form()
+        out = exp_map(F, [2.0, 1.0, 1.0], np.zeros(3))
+        assert np.allclose(out, normalize_to_level(F, [2.0, 1.0, 1.0]), atol=1e-14)
+        assert abs(F.eval(out) - 1.0) < 1e-14
+
+    def test_zero_vector_keeps_start_checks(self):
+        # a zero velocity goes through the same start checks as any other
+        with pytest.raises(NonFiniteInput, match="start point"):
+            exp_map(fixtures.cicy1_form(), [np.nan, 1.0, 1.0], np.zeros(3))
+        with pytest.raises(NotInIndexCone):
+            exp_map(fixtures.nodal_cubic(), [1.0, 1.0, 1.0], np.zeros(3))
 
     def test_matches_unit_time_integration(self):
         F = lorentzian(3)
