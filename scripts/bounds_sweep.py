@@ -22,6 +22,7 @@ import argparse
 import time
 
 from kcurv import cli, fixtures
+from kcurv.errors import RegionEmpty
 
 
 def sweep_rows():
@@ -57,7 +58,12 @@ def main() -> int:
 
     t0 = time.time()
     for label, F, region, const, viol_expected in sweep_rows():
-        rep = cli.scan(F, region, args.samples, args.seed)
+        try:
+            rep = cli.scan(F, region, args.samples, args.seed)
+        except RegionEmpty as exc:
+            # a thin cone can starve a small scan; report it and go on
+            print(f"{label:22s} {F.degree:2d} {F.dim:2d} {region:8s} {0:5d}  {exc}")
+            continue
         kept = rep["samples"] - rep["skipped"]
         nviol = len(rep["violations"])
         dev = ""

@@ -134,8 +134,7 @@ def _draw_point(F, rng, region, budget):
     return None, budget
 
 
-def scan(F: Form, region: str, samples: int, seed: int,
-         fd_cfg: curvature.FDConfig = curvature.FDConfig()) -> dict:
+def scan(F: Form, region: str, samples: int, seed: int) -> dict:
     """Sample index-cone points and planes, check the conjectured bounds
     -d(d-1)/2 <= K <= 0, and return a deterministic report dict.
 
@@ -163,7 +162,7 @@ def scan(F: Form, region: str, samples: int, seed: int,
         v1 = rng.standard_normal(F.dim)
         v2 = rng.standard_normal(F.dim)
         try:
-            s = curvature.sectional_curvature_numeric(F, x, v1, v2, fd_cfg)
+            s = curvature.sectional_curvature_numeric(F, x, v1, v2)
         except (DegeneratePlane, IllConditioned, NearDegenerate, ChartExit) as exc:
             return {"status": "skipped", "reason": type(exc).__name__, "draws": draws}
         if crosscheck:

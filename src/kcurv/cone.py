@@ -281,41 +281,26 @@ def metric_gram(F: Form, x, vectors):
     return -(B @ H @ B.T) / (d * (d - 1))
 
 
-def _gram_schmidt(G, rows, frame=(), floor: float = 1e-12, size=None):
-    """Modified Gram-Schmidt of ``rows`` under the metric matrix G, extending
-    the metric-orthonormal ``frame``: a row whose pivot w.G.w falls below
-    ``floor`` is skipped, and the run stops once ``size`` vectors are held.
-    Returns the list of frame vectors; callers decide what a short list means.
-    """
-    out = list(frame)
-    for row in rows:
-        if size is not None and len(out) >= size:
-            break
-        w = np.array(row, dtype=float)
-        for u in out:
-            w -= (w @ G @ u) * u
-        nn = w @ G @ w
-        if nn >= floor:
-            out.append(w / np.sqrt(nn))
-    return out
-
-
 def orthonormal_frame(F: Form, x, seed: int = 0) -> TangentFrame:
     """Metric-orthonormal tangent frame at a W1 index-cone point.
 
-    Gram-Schmidt of :func:`tangent_basis` under the Hodge metric.  With
+    :func:`tangent_basis` B whitened by the Cholesky factor C of its Hodge
+    Gram: the rows of C^-1 B are what metric Gram-Schmidt of B gives.  With
     seed = 0 the basis is used as-is (so simple fixtures get the obvious
-    frame); a nonzero seed first mixes the basis with a seeded random
-    matrix, giving reproducible but varied frames.
+    frame); a nonzero seed first mixes it with a seeded random matrix, giving
+    reproducible but varied frames.  Mixing can leave one whitening 1e-9 off
+    orthonormal (eps * cond(Gram)), so it runs twice (CholeskyQR2).
     """
     cp = classify(F, x)
     if cp.classification != INDEX_CONE:
         raise NotInIndexCone(f"classification is {cp.classification}")
-    B = np.asarray(tangent_basis(F, cp.x))
+    B, G = tangent_basis(F, cp.x), -cp.Q
     if seed:
         rng = np.random.default_rng(seed)
         B = rng.standard_normal((B.shape[0], B.shape[0])) @ B
-    frame = _gram_schmidt(-cp.Q, B)
-    if len(frame) < len(B):
-        raise DegenerateMetric("Gram-Schmidt pivot below 1e-12")
-    return TangentFrame(base=cp, vectors=np.asarray(frame))
+    try:
+        for _ in range(2):
+            B = np.linalg.solve(np.linalg.cholesky(B @ G @ B.T), B)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetric("tangent Gram is not positive definite") from exc
+    return TangentFrame(base=cp, vectors=B)

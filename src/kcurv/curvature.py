@@ -43,17 +43,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import INDEX_CONE, _gram_schmidt, classify, normalize_to_level, tangent_basis
+from .cone import INDEX_CONE, classify, normalize_to_level
 from .errors import (
     ChartExit,
     DegeneratePlane,
+    DimensionMismatch,
     IllConditioned,
     NotInIndexCone,
 )
 from .symform import Form
 
 __all__ = [
-    "FDConfig", "SurfaceConfig", "ChartMetric", "CurvatureSample",
+    "FDConfig", "ChartMetric", "CurvatureSample",
     "sectional_curvature_numeric", "curvature_tensor_numeric",
     "sectional_curvature_surface",
 ]
@@ -66,6 +67,12 @@ W2_OFFSETS = (-2, -1, 0, 1, 2)
 W2_WEIGHTS = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
 # largest max|g(0) - I| accepted for a metric-orthonormal chart frame
 FRAME_TOL = 1e-8
+# exponential-surface cross-check: grid spacing, RK4 steps per unit length
+# (at least SURFACE_MIN_STEPS) and the nominal error of the two-layer numerics
+SURFACE_SPACING = 0.02
+SURFACE_STEPS_PER_UNIT = 1500
+SURFACE_MIN_STEPS = 60
+SURFACE_ERR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -73,14 +80,6 @@ class FDConfig:
     h: float = 1e-3
     max_err: float = 1e-3
     gram_condition_floor: float = 1e-6  # eigmin/eigmax floor of the tangent Gram
-
-
-@dataclass(frozen=True)
-class SurfaceConfig:
-    spacing: float = 0.02          # chart-coordinate grid spacing
-    steps_per_unit: int = 1500     # geodesic integrator resolution
-    min_steps: int = 60
-    err_nominal: float = 1e-3      # tolerance class of the two-layer numerics
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,56 +122,39 @@ class ChartMetric:
         return self.values(np.asarray(u, dtype=float)[None, :])[0]
 
 
-def _plane_frame(x, L1, L2, grad, G, basis):
-    """Metric-orthonormal frame with slots 0, 1 spanning the projected plane.
-
-    ``grad``, ``G`` and ``basis`` are the gradient, the Hodge metric matrix
-    ``-ConePoint.Q`` and :func:`tangent_basis` at x.  Projection to the
-    tangent space is radial (along x), which commutes with linear pullback;
-    completion runs metric Gram-Schmidt over the tangent basis, skipping
-    dependent directions.  Near the cone wall Gram-Schmidt can lose
-    orthonormality; a frame whose metric Gram is off the identity by more
-    than FRAME_TOL is whitened once by the Gram's Cholesky factor, which
-    keeps slots 0 and 1 spanning the plane.
-    """
-    gx = grad @ x
-    P = []
-    for L in (L1, L2):
-        L = np.asarray(L, dtype=float)
-        w = L - x * ((grad @ L) / gx)
-        nw = np.linalg.norm(w)
-        if nw < 1e-14:
-            raise DegeneratePlane("plane vector projects to zero")
-        P.append(w / nw)
-    P = np.asarray(P)
-    det = np.linalg.det(P @ G @ P.T)
-    if det < 1e-12:
-        raise DegeneratePlane(f"projected plane Gram determinant {det:g}")
-    frame = _gram_schmidt(G, P)
-    if len(frame) < 2:
-        raise DegeneratePlane("projected plane vectors are metrically dependent")
-    frame = _gram_schmidt(G, basis, frame, floor=1e-10, size=len(basis))
-    if len(frame) != len(basis):
-        raise DegeneratePlane("could not complete the plane to a full frame")
-    frame = np.asarray(frame)
-    gram = frame @ G @ frame.T
-    if np.max(np.abs(gram - np.eye(len(frame)))) > FRAME_TOL:
-        frame = np.linalg.solve(np.linalg.cholesky(gram), frame)
-    return frame
-
-
 def _prepare(F, x, L1, L2, cfg):
+    """(x on W1, metric-orthonormal frame whose rows 0 and 1 span the plane).
+
+    L1 and L2 are projected radially (along x) onto the tangent space, which
+    commutes with linear pullback.  One QR of [grad, L1, L2, I] gives a
+    Euclidean-orthonormal tangent basis B whose rows 0 and 1 span the plane;
+    the Cholesky factor C of its Hodge Gram B G B^T whitens it, and since
+    C^-1 is lower triangular, rows 0 and 1 of C^-1 B still span the plane.
+    """
     xn = normalize_to_level(F, x)
     cp = classify(F, xn)
     if cp.classification != INDEX_CONE:
         raise NotInIndexCone(f"classification is {cp.classification}")
-    G = -cp.Q
-    basis = tangent_basis(F, xn)
-    eig = np.linalg.eigvalsh(basis @ G @ basis.T)
+    grad, G, r = cp.grad, -cp.Q, F.dim
+    for name, L in (("plane vector L1", L1), ("plane vector L2", L2)):
+        if np.shape(L) != (r,):
+            raise DimensionMismatch(f"{name} has shape {np.shape(L)}, expected ({r},)")
+    P = np.array([L1, L2], dtype=float)
+    P -= np.outer(P @ grad / (grad @ xn), xn)
+    norms = np.linalg.norm(P, axis=1)
+    if norms.min() < 1e-14:
+        raise DegeneratePlane("plane vector projects to zero")
+    P /= norms[:, None]
+    B = np.linalg.qr(np.column_stack([grad, P.T, np.eye(r)]))[0][:, 1:r].T
+    gram = B @ G @ B.T
+    eig = np.linalg.eigvalsh(gram)
     if eig[0] <= 0 or eig[0] / eig[-1] < cfg.gram_condition_floor:
         raise IllConditioned(
             f"tangent Gram conditioning {eig[0]:.3g}/{eig[-1]:.3g} below floor")
-    return xn, _plane_frame(xn, L1, L2, cp.grad, G, basis)
+    det = np.linalg.det(P @ G @ P.T)
+    if det < 1e-12:
+        raise DegeneratePlane(f"projected plane Gram determinant {det:g}")
+    return xn, np.linalg.solve(np.linalg.cholesky(gram), B)
 
 
 def _riemann_at_step(cm: ChartMetric, h: float, pairs):
@@ -263,28 +245,29 @@ def curvature_tensor_numeric(F: Form, x, frame, cfg: FDConfig = FDConfig()) -> T
     return TensorResult(tensor=R, err_estimate=err, frame=np.asarray(vectors), point=xn)
 
 
-def sectional_curvature_surface(F: Form, x, L1, L2,
-                                cfg: SurfaceConfig = SurfaceConfig(),
-                                fd_cfg: FDConfig = FDConfig()) -> CurvatureSample:
+def sectional_curvature_surface(F: Form, x, L1, L2) -> CurvatureSample:
     """Sectional curvature via the exponential surface, independent of the chart.
 
-    Shoots geodesics exp_x(t1 e1 + t2 e2) on a 9x9 grid, forms the first
-    fundamental form E, F, G at the inner 5x5 nodes from finite-difference
-    tangents and the ambient metric, and evaluates the Brioschi formula at
-    the center with fourth-order stencils.
+    Shoots geodesics exp_x(t1 e1 + t2 e2) to the nodes of a 9x9 grid that
+    the stencils read (the 16 corners with min(|i|, |j|) > 2 are skipped),
+    forms the first fundamental form E, F, G at the inner 5x5 nodes from
+    finite-difference tangents and the ambient metric, and evaluates the
+    Brioschi formula at the center with fourth-order stencils.
     """
     from .geodesic import exp_map  # local import; geodesic depends on cone only
 
-    xn, frame = _prepare(F, x, L1, L2, fd_cfg)
+    xn, frame = _prepare(F, x, L1, L2, FDConfig())
     e1, e2 = frame[0], frame[1]
-    delta = cfg.spacing
+    delta = SURFACE_SPACING
     span = range(-4, 5)
     pts = {}
     for i in span:
         for j in span:
+            if min(abs(i), abs(j)) > 2:
+                continue
             v = (i * delta) * e1 + (j * delta) * e2
             speed = delta * float(np.hypot(i, j))
-            steps = max(cfg.min_steps, int(round(cfg.steps_per_unit * speed)))
+            steps = max(SURFACE_MIN_STEPS, int(round(SURFACE_STEPS_PER_UNIT * speed)))
             pts[(i, j)] = xn.copy() if (i == 0 and j == 0) else exp_map(F, xn, v, steps=steps)
 
     w = np.array(W1_WEIGHTS) / delta
@@ -330,4 +313,4 @@ def sectional_curvature_surface(F: Form, x, L1, L2,
     ])
     K = (np.linalg.det(M1) - np.linalg.det(M2)) / (E0 * G0 - F0 ** 2) ** 2
     return CurvatureSample(point=xn, plane=(e1, e2), K=float(K),
-                           err_estimate=cfg.err_nominal, method="surface_expansion")
+                           err_estimate=SURFACE_ERR, method="surface_expansion")

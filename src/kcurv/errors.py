@@ -47,7 +47,8 @@ class NotInIndexCone(KcurvError):
 
 
 class DegenerateMetric(KcurvError):
-    """Gram-Schmidt pivot (or reduced metric determinant) is numerically zero."""
+    """Tangent metric Gram is not numerically positive definite (no Cholesky
+    factor), or a reduced metric determinant is zero."""
 
 
 class ChartExit(KcurvError):

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import CLASSES, CODE_DEGENERATE, CODE_INDEX, INDEX_CONE, classify, signature_codes
-from .errors import (GeodesicFailure, LeftIndexCone, NonFiniteInput, NonpositiveValue,
-                     NotInIndexCone, StepRejected)
+from .errors import (DimensionMismatch, GeodesicFailure, LeftIndexCone, NonFiniteInput,
+                     NonpositiveValue, NotInIndexCone, StepRejected)
 from .symform import Form
 
 __all__ = ["Trajectory", "geodesic_integrate", "exp_map"]
@@ -82,13 +82,16 @@ def geodesic_integrate(F: Form, x0, v0, T: float, steps: int | None = None) -> T
     x0 is normalized onto W1 and v0 projected onto its tangent space first
     (a documented convenience; pass exact data to skip any adjustment).
     Fixed-step RK4 with ``steps`` steps, defaulting to 1000 per unit time.
-    Raises NonFiniteInput for a NaN or infinite start, LeftIndexCone if the
+    Raises DimensionMismatch unless x0 and v0 have length F.dim,
+    NonFiniteInput for a NaN or infinite start, LeftIndexCone if the
     trajectory exits the index cone and StepRejected if the conserved Hodge
     speed drifts beyond tolerance; mid-run failures carry ``step`` and ``t``.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     for name, arr in (("start point", x0), ("direction", v0)):
+        if arr.shape != (F.dim,):
+            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({F.dim},)")
         if not np.isfinite(arr).all():
             raise NonFiniteInput(f"{name} {arr.tolist()} is not finite")
     try:

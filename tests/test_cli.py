@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kcurv import aronhold, cone, geodesic
-from kcurv.cli import _draw_point, _merge_vector_flags, main, region_grid
+from kcurv.cli import _draw_point, _merge_vector_flags, main, region_grid, scan
 from kcurv.errors import GeodesicFailure, KcurvError, NearDegenerate
 from kcurv.fixtures import (
     cicy1_form,
@@ -166,6 +166,15 @@ class TestScanCommand:
             main(["scan", "--form", xyz_path, "--region", "ball",
                   "--samples", "25", "--seed", "3", "--out", str(out)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_samples_do_not_depend_on_the_sample_count(self):
+        # sample i draws from its own SeedSequence([seed, i]) substream, so a
+        # shorter scan reports a prefix of a longer one
+        F = nodal_cubic()
+        short, full = scan(F, "ball", 30, 4), scan(F, "ball", 60, 4)
+        assert len(short["violations"]) > 0
+        assert short["violations"] == full["violations"][:len(short["violations"])]
+        assert full["K_min"] <= short["K_min"] <= short["K_max"] <= full["K_max"]
 
     def test_seed_changes_output(self, xyz_path, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -409,6 +418,19 @@ class TestGeodesicCommand:
         assert "is not finite" in err and "LinAlgError" not in err
         assert ("start point" if flag == "--point" else "direction") in err
 
+    @pytest.mark.parametrize("point,direction,message", [
+        ("2,1", "0,1,-1", "start point has shape (2,), expected (3,)"),
+        ("2,1,1", "1,0", "direction has shape (2,), expected (3,)"),
+    ])
+    def test_wrong_length_vector_is_input_error(self, tmp_path, capsys, point, direction,
+                                                message):
+        path = tmp_path / "cicy1.json"
+        path.write_text(cicy1_form().canonical_json())
+        rc = main(["geodesic", "--form", str(path), "--point", point, "--dir", direction,
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -432,6 +454,16 @@ class TestInputErrors:
     def test_wrong_point_length(self, nodal_path, capsys):
         rc = main(["curvature", "--form", nodal_path, "--point", "1,2"])
         assert rc == 2
+
+    @pytest.mark.parametrize("method", ["fd", "surface"])
+    def test_wrong_length_plane_vector(self, tmp_path, capsys, method):
+        path = tmp_path / "cicy1.json"
+        path.write_text(cicy1_form().canonical_json())
+        rc = main(["curvature", "--form", str(path), "--point", "2,1,1",
+                   "--plane", "0,1;0,0,1", "--method", method])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: plane vector L1 has shape (2,), expected (3,)\n")
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

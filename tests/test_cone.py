@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcurv import fixtures
+from kcurv import cone, fixtures
 from kcurv.cone import (
     CLASSES,
     CODE_DEGENERATE,
@@ -29,6 +29,7 @@ from kcurv.cone import (
     tangent_basis,
 )
 from kcurv.errors import (
+    DegenerateMetric,
     NearDegenerate,
     NonFiniteInput,
     NonpositiveValue,
@@ -298,6 +299,14 @@ class TestTangentAndMetric:
     def test_orthonormal_frame_outside_cone(self):
         with pytest.raises(NotInIndexCone):
             orthonormal_frame(NODAL, np.array([1.0, 1.0, 1.0]))
+
+    def test_orthonormal_frame_dependent_basis(self, monkeypatch):
+        # a basis whose Gram has no Cholesky factor is refused, not whitened
+        x = normalize_to_level(XYZ6, np.array([1.0, 2.0, 0.7]))
+        b = tangent_basis(XYZ6, x)[0]
+        monkeypatch.setattr(cone, "tangent_basis", lambda F, x: np.array([b, b]))
+        with pytest.raises(DegenerateMetric):
+            orthonormal_frame(XYZ6, x)
 
     def test_diagonal_interior_frame(self):
         x = normalize_to_level(DIAG, np.array([2.0, 1.0, 1.0]))

@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kcurv import geodesic
 from kcurv.aronhold import sectional_curvature_closed
-from kcurv.cone import normalize_to_level, orthonormal_frame, tangent_basis
+from kcurv.cli import _draw_point
+from kcurv.cone import classify, normalize_to_level, orthonormal_frame, tangent_basis
 from kcurv.curvature import (
     W1_OFFSETS,
     W1_WEIGHTS,
@@ -14,18 +16,26 @@ from kcurv.curvature import (
     W2_WEIGHTS,
     ChartMetric,
     FDConfig,
+    _prepare,
     _riemann_at_step,
     curvature_tensor_numeric,
     sectional_curvature_numeric,
     sectional_curvature_surface,
 )
-from kcurv.errors import DegeneratePlane, IllConditioned, NotInIndexCone
+from kcurv.errors import (
+    DegeneratePlane,
+    DimensionMismatch,
+    IllConditioned,
+    KcurvError,
+    NotInIndexCone,
+)
 from kcurv.fixtures import (
     cicy1_form,
     coords_from_hermitian,
     diagonal,
     hermitian_det,
     lorentzian,
+    nodal_cubic,
     quadric_power,
 )
 from kcurv.symform import Form
@@ -375,6 +385,123 @@ class TestRiemannRoutine:
         assert np.max(np.abs(R - _ref_tensor(chart, h))) < 1e-8
 
 
+def _ref_gram_schmidt(G, rows, frame=(), floor=1e-12, size=None):
+    """Metric Gram-Schmidt of the earlier frame builders."""
+    out = list(frame)
+    for row in rows:
+        if size is not None and len(out) >= size:
+            break
+        w = np.array(row, dtype=float)
+        for u in out:
+            w -= (w @ G @ u) * u
+        nn = w @ G @ w
+        if nn >= floor:
+            out.append(w / np.sqrt(nn))
+    return out
+
+
+def _ref_prepare(F, x, L1, L2, cfg=FDConfig()):
+    """Earlier plane-frame builder: radial projection, two metric Gram-Schmidt
+    passes over the plane and then the tangent basis, and a Cholesky
+    whitening when the result drifts off orthonormal by more than 1e-8."""
+    xn = normalize_to_level(F, x)
+    cp = classify(F, xn)
+    if cp.classification != "index_cone":
+        raise NotInIndexCone(cp.classification)
+    G, basis = -cp.Q, tangent_basis(F, xn)
+    eig = np.linalg.eigvalsh(basis @ G @ basis.T)
+    if eig[0] <= 0 or eig[0] / eig[-1] < cfg.gram_condition_floor:
+        raise IllConditioned("tangent Gram conditioning below floor")
+    P = []
+    for L in (L1, L2):
+        w = L - xn * ((cp.grad @ L) / (cp.grad @ xn))
+        if np.linalg.norm(w) < 1e-14:
+            raise DegeneratePlane("plane vector projects to zero")
+        P.append(w / np.linalg.norm(w))
+    P = np.asarray(P)
+    if np.linalg.det(P @ G @ P.T) < 1e-12:
+        raise DegeneratePlane("projected plane Gram determinant")
+    frame = _ref_gram_schmidt(G, P)
+    if len(frame) < 2:
+        raise DegeneratePlane("projected plane vectors are metrically dependent")
+    frame = np.asarray(_ref_gram_schmidt(G, basis, frame, floor=1e-10, size=len(basis)))
+    if len(frame) != len(basis):
+        raise DegeneratePlane("could not complete the plane to a full frame")
+    gram = frame @ G @ frame.T
+    if np.max(np.abs(gram - np.eye(len(frame)))) > 1e-8:
+        frame = np.linalg.solve(np.linalg.cholesky(gram), frame)
+    return xn, frame, P, G
+
+
+FRAME_CASES = {
+    "lorentzian4": (lorentzian(4), "ball"),
+    "cicy1": (cicy1_form(), "orthant"),
+    "nodal": (nodal_cubic(), "ball"),
+    "hermitian_det3": (hermitian_det(3), "ball"),
+}
+
+
+class TestFrames:
+    """The QR + Cholesky frames against the earlier Gram-Schmidt builders,
+    on the draws a scan makes (SeedSequence([999, i]) substreams)."""
+
+    @pytest.fixture(params=sorted(FRAME_CASES), scope="class")
+    def draws(self, request):
+        F, region = FRAME_CASES[request.param]
+        out = []
+        for i in range(200):
+            rng = np.random.default_rng(np.random.SeedSequence([999, i]))
+            x, _ = _draw_point(F, rng, region, 100)
+            if x is not None:
+                out.append((x, rng.standard_normal(F.dim), rng.standard_normal(F.dim)))
+        return F, out
+
+    def test_plane_frame_matches_reference(self, draws):
+        F, samples = draws
+        accepted = 0
+        for x, v1, v2 in samples:
+            try:
+                xn, ref, P, G = _ref_prepare(F, x, v1, v2)
+            except KcurvError as exc:
+                with pytest.raises(type(exc)):
+                    _prepare(F, x, v1, v2, FDConfig())
+                continue
+            accepted += 1
+            _, frame = _prepare(F, x, v1, v2, FDConfig())
+            m = F.dim - 1
+            assert np.max(np.abs(frame @ G @ frame.T - np.eye(m))) < 1e-11
+            grad = classify(F, xn).grad
+            assert np.max(np.abs(frame @ grad)) < 1e-12 * np.linalg.norm(grad) * np.max(
+                np.linalg.norm(frame, axis=1))
+            # row 1 is fixed by the plane only up to rounding amplified by
+            # 1/sin of the metric angle between the spanning vectors, in
+            # both builders alike
+            M = P @ G @ P.T
+            sin_angle = np.sqrt(np.linalg.det(M) / (M[0, 0] * M[1, 1]))
+            for k, tol in ((0, 1e-10), (1, 1e-10 / sin_angle)):
+                gap = min(np.linalg.norm(frame[k] - ref[k]), np.linalg.norm(frame[k] + ref[k]))
+                assert gap < tol * np.linalg.norm(ref[k])
+        assert accepted >= 10
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_orthonormal_frame_matches_gram_schmidt(self, draws, seed):
+        F, samples = draws
+        for x, _, _ in samples:
+            cp = classify(F, normalize_to_level(F, x))
+            B = tangent_basis(F, cp.x)
+            if seed:
+                B = np.random.default_rng(seed).standard_normal((len(B), len(B))) @ B
+            G = -cp.Q
+            ref = np.asarray(_ref_gram_schmidt(G, B))
+            frame = orthonormal_frame(F, cp.x, seed=seed).vectors
+            m = len(B)
+            assert np.max(np.abs(frame @ G @ frame.T - np.eye(m))) < 1e-11
+            # both are the triangular orthogonalisation of B; rounding moves
+            # it by about eps * cond(B G B^T), which seed mixing inflates
+            tol = max(1e-12, 1e-14 * np.linalg.cond(B @ G @ B.T))
+            assert np.max(np.abs(frame - ref)) < tol * max(1.0, np.max(np.abs(ref)))
+
+
 class TestSurfaceCrossCheck:
     def test_lorentzian_surface(self):
         F = lorentzian(3)
@@ -382,6 +509,24 @@ class TestSurfaceCrossCheck:
         s = sectional_curvature_surface(F, x, *default_plane(F, x))
         assert abs(s.K + 1.0) < 1e-3
         assert s.method == "surface_expansion"
+
+    def test_shoots_only_the_nodes_the_stencils_read(self, monkeypatch):
+        shots, exp_map = [], geodesic.exp_map
+
+        def recording_exp_map(F, x0, v, steps=None):
+            shots.append(np.asarray(v, dtype=float))
+            return exp_map(F, x0, v, steps=steps)
+
+        monkeypatch.setattr(geodesic, "exp_map", recording_exp_map)
+        F = lorentzian(3)
+        x = np.array([1.0, 0.0, 0.0])
+        e1, e2 = default_plane(F, x)
+        s = sectional_curvature_surface(F, x, e1, e2)
+        assert abs(s.K + 1.0) < 1e-3
+        nodes = {tuple(np.rint(np.linalg.lstsq(np.array([e1, e2]).T, v, rcond=None)[0]
+                               / 0.02).astype(int)) for v in shots}
+        assert len(shots) == len(nodes) == 64
+        assert all(min(abs(i), abs(j)) <= 2 and max(abs(i), abs(j)) <= 4 for i, j in nodes)
 
     def test_diagonal_cubic_surface_vs_fd(self):
         F = diagonal(3, 3)
@@ -417,6 +562,15 @@ class TestErrorPaths:
         with pytest.raises(IllConditioned):
             sectional_curvature_numeric(F, x, *default_plane(F, x), cfg=cfg)
 
+    @pytest.mark.parametrize("L1,L2,message", [
+        ([0.0, 1.0], [0.0, 0.0, 1.0], "plane vector L1 has shape (2,), expected (3,)"),
+        ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], "plane vector L2 has shape (4,), expected (3,)"),
+    ])
+    def test_wrong_length_plane_vector(self, L1, L2, message):
+        with pytest.raises(DimensionMismatch) as info:
+            sectional_curvature_numeric(cicy1_form(), np.array([2.0, 1.0, 1.0]), L1, L2)
+        assert str(info.value) == message
+
     def test_custom_step_still_accurate(self):
         F = lorentzian(3)
         x = np.array([2.0, 1.0, 1.0])
@@ -426,10 +580,10 @@ class TestErrorPaths:
 
 
 def test_near_wall_frame_is_reorthonormalized():
-    """hermitian_det(3), ball scan seed 11024, sample 24: metric Gram-Schmidt
-    leaves the frame 1.2e-8 off orthonormal, which used to be refused as
-    "frame drifted".  The reference K is Totaro's Hessian-metric formula
-    evaluated at the same point and plane."""
+    """hermitian_det(3), ball scan seed 11024, sample 24: two passes of metric
+    Gram-Schmidt left the frame 1.2e-8 off orthonormal there, which was once
+    refused as "frame drifted".  The reference K is Totaro's Hessian-metric
+    formula evaluated at the same point and plane."""
     x = [0.5695035724334703, 0.6278875556556078, 0.2157119676259812,
          0.15659686960313995, -0.26552490623630187, -0.3358699839168054,
          0.08392605637191468, -0.08916669995652585, -0.10982832350725905]

@@ -1,5 +1,7 @@
 """Tests for the geodesic integrator against exact oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -7,6 +9,7 @@ from scipy.optimize import minimize_scalar
 from kcurv import fixtures
 from kcurv.cone import CODE_INDEX, classify_many, metric_gram, normalize_to_level, tangent_basis
 from kcurv.errors import (
+    DimensionMismatch,
     GeodesicFailure,
     LeftIndexCone,
     NonFiniteInput,
@@ -231,6 +234,20 @@ class TestEntryErrors:
         x0, v0 = hyperboloid_start()
         with pytest.raises(ValueError):
             geodesic_integrate(F, x0, v0, 1.0, steps=0)
+
+    @pytest.mark.parametrize("x0,v0,name,shape", [
+        ([2.0, 1.0], [0.0, 1.0, -1.0], "start point", "(2,)"),
+        ([2.0, 1.0, 1.0], [1.0, 0.0], "direction", "(2,)"),
+        ([2.0, 1.0, 1.0], [[0.0, 1.0, -1.0]], "direction", "(1, 3)"),
+    ])
+    def test_wrong_length_vectors(self, x0, v0, name, shape):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^{name} has shape {re.escape(shape)}, expected \(3,\)$"):
+            geodesic_integrate(fixtures.cicy1_form(), x0, v0, 0.1)
+
+    def test_exp_map_scalar_velocity(self):
+        with pytest.raises(DimensionMismatch, match=r"direction has shape \(\)"):
+            exp_map(fixtures.cicy1_form(), [2.0, 1.0, 1.0], 0)
 
     def test_trajectory_shapes(self):
         F = lorentzian(3)
