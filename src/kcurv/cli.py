@@ -19,18 +19,15 @@ from math import lcm
 import numpy as np
 
 from . import aronhold, cicy, cone, curvature, geodesic
-from .errors import (
-    ChartExit,
-    CrossCheckError,
-    DegeneratePlane,
-    IllConditioned,
-    KcurvError,
-    NearDegenerate,
-    RegionEmpty,
-)
+from .errors import CrossCheckError, KcurvError, NearDegenerate, RegionEmpty
 from .symform import Form, load_form, save_form
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
+# scan: rows per classify_many call and per curvature batch, the violation
+# tolerance on K, and the report's skip reasons
+SLICE = 128
+SCAN_TOL = 1e-6
+SKIP_REASONS = ("no_point", "NearDegenerate", "DegeneratePlane", "IllConditioned")
 
 __all__ = ["report_invariants", "scan", "witness", "region_grid", "main"]
 
@@ -93,45 +90,59 @@ def report_invariants(F: Form) -> str:
 
 # ------------------------------------------------------------------- scan
 
-def _draw_point(F, rng, region, budget):
-    """Draw until a draw lands in the index cone; (point or None, draws used).
+def _draw_points(F, rngs, region, budget):
+    """Draw for every generator until a draw lands in the index cone;
+    (points, draws used), a point being None after ``budget`` misses.
 
-    Draws are classified in batches of 1, 4, 16, 64, ... rows, capped by the
-    rest of the budget.  A batch of n rows is the same stream as n single
-    draws, and after a hit at draw k the generator is rewound to exactly k
-    draws in, so the point, the count and the generator state are those of
-    drawing and classifying one point at a time.  The cone test is
-    invariant under positive scaling, so ball rows are classified raw and
-    only the accepted one is normalized.  The point is returned after the
-    odd-degree flip.
+    Rounds of 1, 4, 16, 64, ... draws per generator, capped by the rest of
+    the budget, run over every generator still without a point; each round
+    is classified in slices of at most ``SLICE`` rows.  A round of n draws
+    is the same stream as n single draws, and after a hit at draw k the
+    generator is rewound to exactly k draws in, so each point, count and
+    final generator state are those of drawing and classifying one point at
+    a time.  The cone test is invariant under positive scaling, so ball rows
+    are classified raw and only the accepted one is normalized.  Points are
+    returned after the odd-degree flip.
     """
     if region == "orthant":
-        def draw(n):
+        def draw(rng, n):
             return rng.exponential(1.0, (n, F.dim))
     elif region == "ball":
-        def draw(n):
+        def draw(rng, n):
             return rng.standard_normal((n, F.dim))
     else:
         raise KcurvError(f"unknown region {region!r}")
-    used, size = 0, 1
-    while used < budget:
-        n = min(size, budget - used)
-        state = rng.bit_generator.state
-        X = draw(n)
-        batch = cone.classify_many(F, X)
-        hits = np.flatnonzero(batch.code == cone.CODE_INDEX)
-        if hits.size:
-            j = int(hits[0])
-            if j + 1 < n:
-                rng.bit_generator.state = state
-                draw(j + 1)
-            x = X[j].copy()
-            if region == "ball":
-                x = x / np.linalg.norm(x)
-            return (-x if batch.flipped[j] else x), used + j + 1
-        used += n
-        size *= 4
-    return None, budget
+    points, used = [None] * len(rngs), [budget] * len(rngs)
+    todo, spent, size = list(range(len(rngs))), 0, 1
+    while todo and spent < budget:
+        n = min(size, budget - spent)
+        per = max(1, SLICE // n)
+        missed = []
+        for lo in range(0, len(todo), per):
+            group = todo[lo:lo + per]
+            states = [rngs[i].bit_generator.state for i in group] if n > 1 else None
+            X = np.concatenate([draw(rngs[i], n) for i in group])
+            code, flipped = [], []
+            for a in range(0, len(X), SLICE):
+                batch = cone.classify_many(F, X[a:a + SLICE])
+                code.append(batch.code)
+                flipped.append(batch.flipped)
+            hit = (np.concatenate(code) == cone.CODE_INDEX).reshape(len(group), n)
+            flipped = np.concatenate(flipped).reshape(len(group), n)
+            for t, i in enumerate(group):
+                if not hit[t].any():
+                    missed.append(i)
+                    continue
+                j = int(hit[t].argmax())
+                if j + 1 < n:
+                    rngs[i].bit_generator.state = states[t]
+                    draw(rngs[i], j + 1)
+                x = X[t * n + j].copy()
+                if region == "ball":
+                    x = x / np.linalg.norm(x)
+                points[i], used[i] = (-x if flipped[t, j] else x), spent + j + 1
+        todo, spent, size = missed, spent + n, size * 4
+    return points, used
 
 
 def scan(F: Form, region: str, samples: int, seed: int) -> dict:
@@ -139,7 +150,10 @@ def scan(F: Form, region: str, samples: int, seed: int) -> dict:
     -d(d-1)/2 <= K <= 0, and return a deterministic report dict.
 
     Determinism: sample i derives all randomness from SeedSequence([seed, i]),
-    so results are independent of evaluation order.
+    so results are independent of evaluation order and of the batching.
+    Points are drawn for all samples together (:func:`_draw_points`), and
+    the accepted ones are framed and given their analytic curvature in
+    slices of ``SLICE`` rows.
     """
     if samples < 1:
         raise KcurvError("samples must be >= 1")
@@ -154,42 +168,40 @@ def scan(F: Form, region: str, samples: int, seed: int) -> dict:
         if H_poly.is_zero():
             raise RegionEmpty("index cone empty: Hessian determinant is identically zero")
 
-    def run_sample(i):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        x, draws = _draw_point(F, rng, region, per_sample_budget)
-        if x is None:
-            return {"status": "no_point", "draws": draws}
-        v1 = rng.standard_normal(F.dim)
-        v2 = rng.standard_normal(F.dim)
-        try:
-            s = curvature.sectional_curvature_numeric(F, x, v1, v2)
-        except (DegeneratePlane, IllConditioned, NearDegenerate, ChartExit) as exc:
-            return {"status": "skipped", "reason": type(exc).__name__, "draws": draws}
-        if crosscheck:
-            R = -2.25 + 11664.0 * S_float / float(H_poly.eval(s.point)) ** 2
-            if abs(s.K - R) > max(1e-4, 10.0 * s.err_estimate):
-                raise CrossCheckError(
-                    f"closed-form curvature {R:.8g} vs finite-difference {s.K:.8g} "
-                    f"at {s.point.tolist()}")
-        tol = max(1e-6, 10.0 * s.err_estimate)
-        violation = (s.K < lower - tol) or (s.K > 0.0 + tol)
-        return {"status": "ok", "K": s.K, "err": s.err_estimate,
-                "point": [float(v) for v in s.point],
-                "plane": [[float(v) for v in s.plane[0]],
-                          [float(v) for v in s.plane[1]]],
-                "violation": violation, "draws": draws}
-
-    results = [run_sample(i) for i in range(samples)]
-
-    accepted = [r for r in results if r["status"] == "ok"]
-    if not accepted and all(r["status"] == "no_point" for r in results):
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(samples)]
+    points, _ = _draw_points(F, rngs, region, per_sample_budget)
+    found = [i for i, x in enumerate(points) if x is not None]
+    if not found:
         raise RegionEmpty(
             f"no index-cone point found in {samples * per_sample_budget} draws")
+    X = np.array([points[i] for i in found])
+    V = np.array([[rngs[i].standard_normal(F.dim), rngs[i].standard_normal(F.dim)]
+                  for i in found])
 
-    violations = [{"point": r["point"], "plane": r["plane"],
-                   "K": r["K"], "err": r["err"]}
-                  for r in results if r["status"] == "ok" and r["violation"]]
-    Ks = [r["K"] for r in accepted]
+    skipped = dict.fromkeys(SKIP_REASONS, 0)
+    skipped["no_point"] = samples - len(found)
+    Ks, violations = [], []
+    for lo in range(0, len(X), SLICE):
+        Xn, frames, refusals = curvature._prepare(F, X[lo:lo + SLICE],
+                                                  V[lo:lo + SLICE, 0], V[lo:lo + SLICE, 1])
+        for exc in refusals:
+            if exc is not None:
+                skipped[type(exc).__name__] += 1
+        ok = np.array([exc is None for exc in refusals], dtype=bool)
+        Xn, frames = Xn[ok], frames[ok]
+        K = curvature._analytic_K(F, Xn, frames[:, 0], frames[:, 1])
+        if crosscheck:
+            R = -2.25 + 11664.0 * S_float / H_poly.eval(Xn) ** 2
+            bad = np.flatnonzero(np.abs(K - R) > 1e-8 * np.maximum(1.0, np.abs(R)))
+            if bad.size:
+                j = bad[0]
+                raise CrossCheckError(
+                    f"closed-form curvature {R[j]:.12g} vs analytic {K[j]:.12g} "
+                    f"at {Xn[j].tolist()}")
+        for x, frame, k in zip(Xn, frames, K.tolist()):
+            if k < lower - SCAN_TOL or k > SCAN_TOL:
+                violations.append({"point": x.tolist(), "plane": frame[:2].tolist(), "K": k})
+        Ks += K.tolist()
     return {
         "schema_version": SCHEMA_VERSION,
         "form": {"hash": F.content_hash(), "degree": F.degree, "dim": F.dim},
@@ -199,9 +211,9 @@ def scan(F: Form, region: str, samples: int, seed: int) -> dict:
         "K_min": min(Ks) if Ks else None,
         "K_max": max(Ks) if Ks else None,
         "violations": violations,
-        "skipped": sum(1 for r in results if r["status"] != "ok"),
-        "bounds_used": {"lower": lower, "upper": 0.0,
-                        "tolerance_rule": "max(1e-06, 10*err_estimate)"},
+        "skipped": sum(skipped.values()),
+        "skipped_by_reason": skipped,
+        "bounds_used": {"lower": lower, "upper": 0.0, "tolerance_rule": f"{SCAN_TOL:g}"},
     }
 
 
@@ -386,8 +398,9 @@ def _cmd_curvature(args):
             L1, L2 = frame.vectors[0], frame.vectors[1]
         else:
             raise KcurvError("--plane is required when the form has more than 3 variables")
-        fn = (curvature.sectional_curvature_surface if args.method == "surface"
-              else curvature.sectional_curvature_numeric)
+        fn = {"fd": curvature.sectional_curvature_numeric,
+              "analytic": curvature.sectional_curvature_analytic,
+              "surface": curvature.sectional_curvature_surface}[args.method]
         s = fn(F, point, L1, L2)
         out.update(K=s.K, err_estimate=s.err_estimate, method=s.method,
                    point=[float(v) for v in s.point],
@@ -473,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--plane", help="two ';'-separated direction vectors")
-    p.add_argument("--method", choices=["fd", "closed", "surface"], default="fd")
+    p.add_argument("--method", choices=["fd", "analytic", "closed", "surface"], default="fd")
     p.set_defaults(fn=_cmd_curvature)
 
     p = sub.add_parser("scan", help="sample curvatures and check the bounds")

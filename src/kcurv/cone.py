@@ -236,16 +236,18 @@ def classify_exact(F: Form, x) -> ExactClassification:
 
 
 def normalize_to_level(F: Form, x):
-    """Scale x radially onto W1 = {F = 1} (after the odd-degree antipodal flip)."""
+    """Scale x, or each row of an (n, dim) array, radially onto W1 = {F = 1}
+    (after the odd-degree antipodal flip)."""
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise NonFiniteInput(f"cannot normalize the non-finite point {x.tolist()}")
-    value = F.eval(x)
-    if F.degree % 2 == 1 and value < 0:
-        x = -x
-        value = -value
-    if value <= 0:
-        raise NonpositiveValue(f"F(x) = {value:g} is not positive")
+    finite = np.isfinite(x).all(axis=-1)
+    if not finite.all():
+        raise NonFiniteInput(f"cannot normalize the non-finite point {x[~finite][0].tolist()}")
+    value = np.asarray(F.eval(x))[..., None]
+    if F.degree % 2 == 1:
+        x = np.where(value < 0, -x, x)
+        value = np.abs(value)
+    if (value <= 0).any():
+        raise NonpositiveValue(f"F(x) = {value.min():g} is not positive")
     return x * value ** (-1.0 / F.degree)
 
 

@@ -1,7 +1,27 @@
-"""Numeric sectional curvature of the unit level set W1 under the Hodge metric.
+"""Sectional curvature of the unit level set W1 under the Hodge metric.
 
-Strategy: at an index-cone point x on W1 with metric-orthonormal tangent
-frame L_1, ..., L_m (m = r-1), the radial chart
+Two routes share one plane frame (``_prepare``).  The analytic route reads K
+off the curvature of the Hessian metric of phi = -log F, which splits the
+index cone as R x W1 with W1 totally geodesic and restricts to W1 as
+d(d-1) times the Hodge metric (Wilson, arXiv math/0307260; Totaro, "The
+curvature of a Hessian metric", IJM 2004).  Totaro's
+4R(a,b,b,a) = phi3(a,b) phi2^-1 phi3(a,b) - phi3(a,a) phi2^-1 phi3(b,b)
+becomes, for a and b tangent at x (any scale, by homogeneity), with
+phi2^-1 = -H^-1 + x x^T/(d-1) at F = 1 and the Euler identities,
+
+    K = d(d-1)/4 F tr(H^-1 C) / tr(H w H w^T) - d^2/4,
+    C_kl = tr(T_k w T_l w^T),   w = a b^T - b a^T,
+
+where H = Hess F and T_k = d_k Hess F.  It needs no d-th root, frame or
+division by F.  The same numerator written as 1/2 tr(H^-1 C) =
+u(a,a) H^-1 u(b,b) - u(a,b) H^-1 u(a,b), u(p,q) = D^3F(p,q,.), cancels at
+about eps cond(H)^2; the w form does not: on diagonal forms every C_kl
+carries a diagonal entry of w, which is exactly zero, so K = -d^2/4 comes
+out exactly.  The scan uses this route, batched over samples.
+
+The finite-difference route is the independent oracle.  At an index-cone
+point x on W1 with metric-orthonormal tangent frame L_1, ..., L_m
+(m = r-1), the radial chart
 
     phi(u) = X / F(X)^(1/d),   X = x + sum_k u_k L_k,
 
@@ -43,12 +63,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import INDEX_CONE, classify, normalize_to_level
+from .cone import (
+    CLASSES,
+    CODE_DEGENERATE,
+    CODE_INDEX,
+    DEFAULT_TOL,
+    INDEX_CONE,
+    classify,
+    normalize_to_level,
+    signature_codes,
+)
 from .errors import (
     ChartExit,
     DegeneratePlane,
     DimensionMismatch,
     IllConditioned,
+    NearDegenerate,
     NotInIndexCone,
 )
 from .symform import Form
@@ -56,7 +86,7 @@ from .symform import Form
 __all__ = [
     "FDConfig", "ChartMetric", "CurvatureSample",
     "sectional_curvature_numeric", "curvature_tensor_numeric",
-    "sectional_curvature_surface",
+    "sectional_curvature_surface", "sectional_curvature_analytic",
 ]
 
 # fourth-order central first-derivative stencil at offsets (-2, -1, 1, 2)
@@ -122,39 +152,109 @@ class ChartMetric:
         return self.values(np.asarray(u, dtype=float)[None, :])[0]
 
 
-def _prepare(F, x, L1, L2, cfg):
-    """(x on W1, metric-orthonormal frame whose rows 0 and 1 span the plane).
+def _prepare(F, X, L1, L2, cfg: FDConfig = FDConfig()):
+    """(rows of X on W1, metric-orthonormal frames, refusals) for the planes
+    span{L1[n], L2[n]} at the points X[n], over a batch of rows.
 
-    L1 and L2 are projected radially (along x) onto the tangent space, which
-    commutes with linear pullback.  One QR of [grad, L1, L2, I] gives a
-    Euclidean-orthonormal tangent basis B whose rows 0 and 1 span the plane;
-    the Cholesky factor C of its Hodge Gram B G B^T whitens it, and since
-    C^-1 is lower triangular, rows 0 and 1 of C^-1 B still span the plane.
+    The rows of L1 and L2 are projected radially (along x) onto the tangent
+    space, which commutes with linear pullback.  One QR of [grad, L1, L2, I]
+    gives a Euclidean-orthonormal tangent basis B whose rows 0 and 1 span
+    the plane; the Cholesky factor C of its Hodge Gram B G B^T whitens it,
+    and since C^-1 is lower triangular, rows 0 and 1 of C^-1 B still span
+    the plane.  refusals[n] is None or the first refusal of row n, in check
+    order: NearDegenerate (classifier band at the normalized point),
+    DegeneratePlane (zero projection), IllConditioned (tangent Gram below
+    cfg.gram_condition_floor), DegeneratePlane (plane Gram determinant
+    below 1e-12); a refused row's frame is meaningless.  A row that is
+    cleanly outside the index cone raises NotInIndexCone.
     """
-    xn = normalize_to_level(F, x)
-    cp = classify(F, xn)
-    if cp.classification != INDEX_CONE:
-        raise NotInIndexCone(f"classification is {cp.classification}")
-    grad, G, r = cp.grad, -cp.Q, F.dim
+    X = normalize_to_level(F, X)
+    n, r = X.shape
+    d = F.degree
     for name, L in (("plane vector L1", L1), ("plane vector L2", L2)):
-        if np.shape(L) != (r,):
-            raise DimensionMismatch(f"{name} has shape {np.shape(L)}, expected ({r},)")
-    P = np.array([L1, L2], dtype=float)
-    P -= np.outer(P @ grad / (grad @ xn), xn)
-    norms = np.linalg.norm(P, axis=1)
-    if norms.min() < 1e-14:
-        raise DegeneratePlane("plane vector projects to zero")
-    P /= norms[:, None]
-    B = np.linalg.qr(np.column_stack([grad, P.T, np.eye(r)]))[0][:, 1:r].T
-    gram = B @ G @ B.T
+        if np.shape(L)[1:] != (r,):
+            raise DimensionMismatch(f"{name} has shape {np.shape(L)[1:]}, expected ({r},)")
+    out = F._stack("full").eval_many(X)
+    grad = out[:, 1:1 + r]
+    Q = F._unpack_hessian(out[:, 1 + r:]) / (d * (d - 1))
+    code = signature_codes(out[:, 0], Q)[0]
+    outside = np.flatnonzero((code != CODE_INDEX) & (code != CODE_DEGENERATE))
+    if outside.size:
+        raise NotInIndexCone(f"classification is {CLASSES[code[outside[0]]]}")
+    refusals = [None] * n
+
+    def refuse(rows, make):
+        for i in np.flatnonzero(rows):
+            if refusals[i] is None:
+                refusals[i] = make(i)
+
+    refuse(code == CODE_DEGENERATE, lambda i: NearDegenerate(
+        f"eigenvalue within {DEFAULT_TOL:g} relative band of zero at {X[i].tolist()}"))
+    G = -Q
+    P = np.stack([L1, L2], axis=1).astype(float)
+    P -= (P @ grad[:, :, None] / np.einsum("ni,ni->n", grad, X)[:, None, None]) * X[:, None, :]
+    norms = np.linalg.norm(P, axis=2)
+    zero = norms.min(axis=1) < 1e-14
+    refuse(zero, lambda i: DegeneratePlane("plane vector projects to zero"))
+    P /= np.where(zero[:, None], 1.0, norms)[:, :, None]
+    basis = np.concatenate([grad[:, :, None], P.transpose(0, 2, 1),
+                            np.broadcast_to(np.eye(r), (n, r, r))], axis=2)
+    B = np.linalg.qr(basis)[0][:, :, 1:r].transpose(0, 2, 1)
+    gram = B @ G @ B.transpose(0, 2, 1)
     eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= 0 or eig[0] / eig[-1] < cfg.gram_condition_floor:
-        raise IllConditioned(
-            f"tangent Gram conditioning {eig[0]:.3g}/{eig[-1]:.3g} below floor")
-    det = np.linalg.det(P @ G @ P.T)
-    if det < 1e-12:
-        raise DegeneratePlane(f"projected plane Gram determinant {det:g}")
-    return xn, np.linalg.solve(np.linalg.cholesky(gram), B)
+    lo, hi = eig[:, 0], eig[:, -1]
+    ill = (lo <= 0) | (lo / np.where(lo > 0, hi, 1.0) < cfg.gram_condition_floor)
+    refuse(ill, lambda i: IllConditioned(
+        f"tangent Gram conditioning {lo[i]:.3g}/{hi[i]:.3g} below floor"))
+    det = np.linalg.det(P @ G @ P.transpose(0, 2, 1))
+    refuse(det < 1e-12, lambda i: DegeneratePlane(f"projected plane Gram determinant {det[i]:g}"))
+    ok = np.array([e is None for e in refusals], dtype=bool)
+    gram[~ok] = np.eye(r - 1)
+    return X, np.linalg.solve(np.linalg.cholesky(gram), B), refusals
+
+
+def _prepare_row(F, x, L1, L2, cfg: FDConfig = FDConfig()):
+    """:func:`_prepare` on one point: (x on W1, frame), raising the refusal."""
+    X, frames, refusals = _prepare(F, np.asarray(x, dtype=float)[None], [L1], [L2], cfg)
+    if refusals[0] is not None:
+        raise refusals[0]
+    return X[0], frames[0]
+
+
+def _analytic_K(F, X, A, B):
+    """Hodge sectional curvature of span{A[n], B[n]} at the index-cone points
+    X[n] (any scale; A and B tangent there), from the curvature of the
+    Hessian metric of phi = -log F (see the module docstring):
+
+        K = d(d-1)/4 F tr(H^-1 C) / tr(H w H w^T) - d^2/4,
+        C_kl = tr(T_k w T_l w^T),   w = a b^T - b a^T,
+
+    with H = Hess F and T_k = d_k Hess F.  w^T = -w turns both traces into
+    contractions of the products T_k w and H w.
+    """
+    d, r = F.degree, F.dim
+    if d < 3:
+        return np.full(len(X), -d * d / 4.0)
+    out = F._stack("full").eval_many(X)
+    H = F._unpack_hessian(out[:, 1 + r:])
+    W = A[:, :, None] * B[:, None, :] - B[:, :, None] * A[:, None, :]
+    HW = H @ W
+    den = -np.einsum("nij,nji->n", HW, HW)
+    stack, gather = F._third_stack()
+    TW = stack.eval_many(X).take(gather, axis=1) @ W[:, None]
+    C = -np.einsum("nkim,nlmi->nkl", TW, TW)
+    num = np.einsum("nii->n", np.linalg.solve(H, C))
+    return d * (d - 1) / 4.0 * out[:, 0] * num / den - d * d / 4.0
+
+
+def sectional_curvature_analytic(F: Form, x, L1, L2) -> CurvatureSample:
+    """Sectional curvature K(span{L1, L2}) at x (normalized onto W1) from the
+    closed form of :func:`_analytic_K`; the plane frame and its refusals
+    are those of the finite-difference engine, and err_estimate is 0."""
+    xn, frame = _prepare_row(F, x, L1, L2)
+    K = _analytic_K(F, xn[None], frame[None, 0], frame[None, 1])[0]
+    return CurvatureSample(point=xn, plane=(frame[0], frame[1]), K=float(K),
+                           err_estimate=0.0, method="analytic")
 
 
 def _riemann_at_step(cm: ChartMetric, h: float, pairs):
@@ -214,7 +314,7 @@ def sectional_curvature_numeric(F: Form, x, L1, L2, cfg: FDConfig = FDConfig()) 
     Richardson-extrapolated from steps h and h/2; err_estimate is
     |K_h - K_{h/2}| / 15 and must stay below cfg.max_err.
     """
-    xn, frame = _prepare(F, x, L1, L2, cfg)
+    xn, frame = _prepare_row(F, x, L1, L2, cfg)
     K, err = _extrapolate(ChartMetric(F, xn, frame), cfg, ((0, 0), (1, 1), (0, 1)),
                           (0, 1, 1, 0))
     return CurvatureSample(point=xn, plane=(frame[0], frame[1]), K=float(K),
@@ -256,7 +356,7 @@ def sectional_curvature_surface(F: Form, x, L1, L2) -> CurvatureSample:
     """
     from .geodesic import exp_map  # local import; geodesic depends on cone only
 
-    xn, frame = _prepare(F, x, L1, L2, FDConfig())
+    xn, frame = _prepare_row(F, x, L1, L2)
     e1, e2 = frame[0], frame[1]
     delta = SURFACE_SPACING
     span = range(-4, 5)

@@ -467,7 +467,7 @@ class StackedPolys:
         n = X.shape[0]
         step = max(1, self._CHUNK // max(1, self.E.shape[0] * self.dim))
         outs = []
-        for lo in range(0, n, step):
+        for lo in range(0, max(n, 1), step):  # one empty slice when n = 0
             P = _monomials(X[lo:lo + step], self._powers, self._index) * self.c
             outs.append(np.add.reduceat(P, self.starts, axis=1))
         return np.concatenate(outs, axis=0) if len(outs) > 1 else outs[0]

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kcurv import aronhold, cone, geodesic
-from kcurv.cli import _draw_point, _merge_vector_flags, main, region_grid, scan
-from kcurv.errors import GeodesicFailure, KcurvError, NearDegenerate
+from kcurv import aronhold, cli, cone, geodesic
+from kcurv.cli import _draw_points, _merge_vector_flags, main, region_grid, scan
+from kcurv.errors import CrossCheckError, GeodesicFailure, KcurvError, NearDegenerate
 from kcurv.fixtures import (
     cicy1_form,
     concurrent_lines,
@@ -126,6 +126,25 @@ class TestCurvatureCommand:
         assert abs(fd["K"] - closed["K"]) < 1e-6
         assert fd["method"] == "finite_difference"
 
+    @pytest.mark.parametrize("plane", [None, "0,1,-1;1,0,-2"])
+    def test_analytic_method(self, tmp_path, capsys, plane):
+        path = tmp_path / "cicy1.json"
+        path.write_text(cicy1_form().canonical_json())
+        extra = [] if plane is None else ["--plane", plane]
+        outs = {}
+        for method in ("fd", "analytic"):
+            rc = main(["curvature", "--form", str(path), "--point", "2,1,1",
+                       "--method", method, *extra])
+            assert rc == 0
+            outs[method] = json.loads(capsys.readouterr().out)
+        fd, an = outs["fd"], outs["analytic"]
+        assert set(an) == set(fd)
+        assert an["method"] == "analytic" and an["err_estimate"] == 0.0
+        assert an["point"] == fd["point"] and an["plane"] == fd["plane"]
+        closed = float(aronhold.sectional_curvature_closed(cicy1_form(), [2, 1, 1]))
+        assert abs(an["K"] - closed) < 1e-12
+        assert abs(fd["K"] - an["K"]) < 1e-6
+
     def test_surface_method(self, lorentz_path, capsys):
         rc = main(["curvature", "--form", lorentz_path,
                    "--point", "1,0,0", "--method", "surface"])
@@ -195,7 +214,45 @@ class TestScanCommand:
         assert rc == 1
         assert len(rep["violations"]) > 0
         v = rep["violations"][0]
-        assert set(v) == {"point", "plane", "K", "err"}
+        assert set(v) == {"point", "plane", "K"}
+
+    def test_report_schema(self):
+        rep = scan(hermitian_det(3), "ball", 40, 0)
+        assert rep["schema_version"] == "2"
+        assert rep["bounds_used"] == {"lower": -3.0, "upper": 0.0, "tolerance_rule": "1e-06"}
+        reasons = rep["skipped_by_reason"]
+        assert set(reasons) == {"no_point", "NearDegenerate", "DegeneratePlane",
+                                "IllConditioned"}
+        assert reasons["no_point"] > 0
+        assert rep["skipped"] == sum(reasons.values())
+
+    def test_slice_size_does_not_change_the_report(self, monkeypatch):
+        # rounds and curvature batches are cut into slices of at most SLICE
+        # rows; every per-row result is independent of the cut.  Sample 374
+        # of the cicy1 scan draws two nearly parallel plane vectors and is
+        # refused, so with one-row slices a slice has no accepted row.
+        cases = [(nodal_cubic(), "ball", 120, 0), (hermitian_det(3), "ball", 40, 1),
+                 (cicy1_form(), "orthant", 375, 805024)]
+        reports = []
+        for size in (1, 7, 128):
+            monkeypatch.setattr(cli, "SLICE", size)
+            reports.append([json.dumps(scan(*case), sort_keys=True) for case in cases])
+        assert reports[0] == reports[1] == reports[2]
+        assert json.loads(reports[0][2])["skipped_by_reason"]["DegeneratePlane"] == 1
+
+    @pytest.mark.parametrize("seed", [30, 32])
+    def test_crosscheck_is_relative(self, seed):
+        # these nodal scans reach K ~ 2e9 near the Hessian wall, where an
+        # absolute tolerance on K would fail on rounding alone
+        rep = scan(nodal_cubic(), "ball", 300, seed)
+        assert rep["K_max"] > 1e9
+
+    def test_crosscheck_catches_a_wrong_curvature(self, monkeypatch):
+        analytic = cli.curvature._analytic_K
+        monkeypatch.setattr(cli.curvature, "_analytic_K",
+                            lambda *args: analytic(*args) * (1.0 + 1e-7))
+        with pytest.raises(CrossCheckError):
+            scan(cicy1_form(), "orthant", 20, 0)
 
     def test_empty_region(self, tmp_path, capsys):
         path = tmp_path / "lines.json"
@@ -231,52 +288,58 @@ SAMPLER_FORMS = {"nodal": nodal_cubic(), "lorentzian4": lorentzian(4),
 
 
 class TestBatchedSampler:
-    """_draw_point matches drawing and classifying one point at a time."""
+    """_draw_points over many generators at once matches drawing and
+    classifying one point at a time with each generator."""
 
-    def _compare(self, F, region, seed, i, budget=100):
-        got_rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        ref_rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        x, used = _draw_point(F, got_rng, region, budget)
-        x_ref, used_ref = _draw_one_at_a_time(F, ref_rng, region, budget)
-        assert used == used_ref
-        assert (x is None) == (x_ref is None)
-        if x is not None:
-            assert np.array_equal(x, x_ref)
-        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-        return used, x is None
+    def _compare(self, F, region, seed, samples, budget=100):
+        seqs = [np.random.SeedSequence([seed, i]) for i in samples]
+        got_rngs = [np.random.default_rng(s) for s in seqs]
+        ref_rngs = [np.random.default_rng(s) for s in seqs]
+        points, used = _draw_points(F, got_rngs, region, budget)
+        outcomes = []
+        for x, n, got, ref in zip(points, used, got_rngs, ref_rngs):
+            x_ref, used_ref = _draw_one_at_a_time(F, ref, region, budget)
+            assert n == used_ref
+            assert (x is None) == (x_ref is None)
+            if x is not None:
+                assert np.array_equal(x, x_ref)
+            assert got.bit_generator.state == ref.bit_generator.state
+            outcomes.append((n, x is None))
+        return outcomes
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_FORMS))
     @pytest.mark.parametrize("region", ["orthant", "ball"])
     def test_matches_one_at_a_time(self, name, region):
-        outcomes = [self._compare(SAMPLER_FORMS[name], region, 3, i) for i in range(12)]
+        outcomes = self._compare(SAMPLER_FORMS[name], region, 3, range(12))
         assert any(not missed for _, missed in outcomes)
 
     def test_first_draw_hits(self):
-        # a hit on the first draw ends a one-row batch, so nothing is redrawn
-        outcomes = [self._compare(lorentzian(4), "ball", 2, i) for i in range(12)]
+        # a hit on the first draw ends a one-row round, so nothing is redrawn
+        outcomes = self._compare(lorentzian(4), "ball", 2, range(12))
         assert (1, False) in outcomes
 
-    def test_covers_every_batch_and_exhaustion(self):
-        # r = 9 ball: most samples use several batches or the whole budget
-        outcomes = [self._compare(hermitian_det(3), "ball", 0, i) for i in range(40)]
+    def test_covers_every_batch_and_exhaustion(self, monkeypatch):
+        # r = 9 ball: most samples use several rounds or the whole budget;
+        # a slice of 7 rows splits every round into several classify calls
+        monkeypatch.setattr(cli, "SLICE", 7)
+        outcomes = self._compare(hermitian_det(3), "ball", 0, range(40))
         used = [u for u, missed in outcomes if not missed]
         assert any(missed for _, missed in outcomes)
         assert max(used) > 1 + 4 + 16
-        # a hit before the last row of its batch rewinds the generator
+        # a hit before the last row of its round rewinds the generator
         assert any(u not in (1, 5, 21, 85) for u in used)
 
     @pytest.mark.parametrize("budget", [1, 3, 7])
     def test_small_budgets(self, budget):
-        for i in range(10):
-            self._compare(hermitian_det(3), "ball", 5, i, budget)
+        self._compare(hermitian_det(3), "ball", 5, range(10), budget)
 
     def test_point_is_returned_after_the_flip(self):
         # about half the ball draws have F < 0 and are classified at -x
         F = nodal_cubic()
+        rngs = [np.random.default_rng(np.random.SeedSequence([1, i])) for i in range(30)]
+        points, _ = _draw_points(F, rngs, "ball", 100)
         flips = 0
-        for i in range(30):
-            rng = np.random.default_rng(np.random.SeedSequence([1, i]))
-            x, _ = _draw_point(F, rng, "ball", 100)
+        for x in points:
             if x is not None:
                 assert F.eval(x) > 0
                 flips += cone.classify(F, x).flipped
@@ -284,7 +347,7 @@ class TestBatchedSampler:
 
     def test_unknown_region(self):
         with pytest.raises(KcurvError):
-            _draw_point(nodal_cubic(), np.random.default_rng(0), "cube", 10)
+            _draw_points(nodal_cubic(), [np.random.default_rng(0)], "cube", 10)
 
 
 class TestWitnessCommand:
@@ -455,7 +518,7 @@ class TestInputErrors:
         rc = main(["curvature", "--form", nodal_path, "--point", "1,2"])
         assert rc == 2
 
-    @pytest.mark.parametrize("method", ["fd", "surface"])
+    @pytest.mark.parametrize("method", ["fd", "analytic", "surface"])
     def test_wrong_length_plane_vector(self, tmp_path, capsys, method):
         path = tmp_path / "cicy1.json"
         path.write_text(cicy1_form().canonical_json())

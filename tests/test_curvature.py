@@ -7,7 +7,7 @@ import pytest
 
 from kcurv import geodesic
 from kcurv.aronhold import sectional_curvature_closed
-from kcurv.cli import _draw_point
+from kcurv.cli import _draw_points
 from kcurv.cone import classify, normalize_to_level, orthonormal_frame, tangent_basis
 from kcurv.curvature import (
     W1_OFFSETS,
@@ -16,9 +16,11 @@ from kcurv.curvature import (
     W2_WEIGHTS,
     ChartMetric,
     FDConfig,
+    _analytic_K,
     _prepare,
     _riemann_at_step,
     curvature_tensor_numeric,
+    sectional_curvature_analytic,
     sectional_curvature_numeric,
     sectional_curvature_surface,
 )
@@ -31,12 +33,15 @@ from kcurv.errors import (
 )
 from kcurv.fixtures import (
     cicy1_form,
+    cicy2_form,
     coords_from_hermitian,
     diagonal,
+    elliptic_cubic,
     hermitian_det,
     lorentzian,
     nodal_cubic,
     quadric_power,
+    triple_product,
 )
 from kcurv.symform import Form
 
@@ -52,6 +57,15 @@ def lorentzian_point(rng, r):
     x[0] = np.sqrt(1.0 + y @ y) + rng.exponential(0.5)
     x[1:] = y
     return x
+
+
+def scan_draws(F, region, seed, samples):
+    """(point, v1, v2) of every scan sample that finds a point: the draws of
+    ``scan(F, region, samples, seed)`` before any curvature refusal."""
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(samples)]
+    points, _ = _draw_points(F, rngs, region, 100)
+    return [(x, rng.standard_normal(F.dim), rng.standard_normal(F.dim))
+            for x, rng in zip(points, rngs) if x is not None]
 
 
 def default_plane(F, x):
@@ -448,26 +462,22 @@ class TestFrames:
     @pytest.fixture(params=sorted(FRAME_CASES), scope="class")
     def draws(self, request):
         F, region = FRAME_CASES[request.param]
-        out = []
-        for i in range(200):
-            rng = np.random.default_rng(np.random.SeedSequence([999, i]))
-            x, _ = _draw_point(F, rng, region, 100)
-            if x is not None:
-                out.append((x, rng.standard_normal(F.dim), rng.standard_normal(F.dim)))
-        return F, out
+        return F, scan_draws(F, region, 999, 200)
 
     def test_plane_frame_matches_reference(self, draws):
         F, samples = draws
+        # one batched call over every draw, checked row by row
+        X, V1, V2 = (np.array(col) for col in zip(*samples))
+        _, frames, refusals = _prepare(F, X, V1, V2)
         accepted = 0
-        for x, v1, v2 in samples:
+        for (x, v1, v2), frame, refusal in zip(samples, frames, refusals):
             try:
                 xn, ref, P, G = _ref_prepare(F, x, v1, v2)
             except KcurvError as exc:
-                with pytest.raises(type(exc)):
-                    _prepare(F, x, v1, v2, FDConfig())
+                assert type(refusal) is type(exc)
                 continue
+            assert refusal is None
             accepted += 1
-            _, frame = _prepare(F, x, v1, v2, FDConfig())
             m = F.dim - 1
             assert np.max(np.abs(frame @ G @ frame.T - np.eye(m))) < 1e-11
             grad = classify(F, xn).grad
@@ -500,6 +510,99 @@ class TestFrames:
             # it by about eps * cond(B G B^T), which seed mixing inflates
             tol = max(1e-12, 1e-14 * np.linalg.cond(B @ G @ B.T))
             assert np.max(np.abs(frame - ref)) < tol * max(1.0, np.max(np.abs(ref)))
+
+
+def analytic_scan(F, region, seed, samples):
+    """(points on W1, frames, K) of the draws of ``scan(F, region, samples,
+    seed)`` that _prepare accepts, from one batched _prepare and _analytic_K."""
+    X, V1, V2 = (np.array(col) for col in zip(*scan_draws(F, region, seed, samples)))
+    Xn, frames, refusals = _prepare(F, X, V1, V2)
+    ok = np.array([refusal is None for refusal in refusals])
+    Xn, frames = Xn[ok], frames[ok]
+    return Xn, frames, _analytic_K(F, Xn, frames[:, 0], frames[:, 1])
+
+
+class TestAnalytic:
+    """The closed form of the Hessian-metric curvature against exact
+    constants, the Aronhold closed form and the FD engine."""
+
+    @pytest.mark.parametrize("F,K,region", [
+        (diagonal(3, 3), -2.25, "orthant"),
+        (diagonal(4, 3), -4.0, "ball"),
+        (diagonal(3, 5), -2.25, "orthant"),
+        (lorentzian(4), -1.0, "ball"),
+    ], ids=["diagonal33", "diagonal43", "diagonal35", "lorentzian4"])
+    def test_constant_curvature_is_exact(self, F, K, region):
+        # diagonal forms: every C_kl carries a diagonal entry of w, which is
+        # exactly zero; quadrics have no third derivative
+        _, _, Ks = analytic_scan(F, region, 1, 300)
+        assert len(Ks) > 250
+        assert np.all(Ks == K)
+
+    def test_triple_product_is_flat(self):
+        _, _, Ks = analytic_scan(triple_product(), "orthant", 1, 300)
+        assert len(Ks) > 250
+        assert np.max(np.abs(Ks)) < 1e-14
+
+    def test_quadric_power_error_follows_hessian_conditioning(self):
+        # (x0^2 - |y|^2)^2 has K = -3; the rounding of C is amplified by
+        # H^-1, so the error grows with cond(H): 1e-5 at 4.6e7 on these draws
+        F = quadric_power(4)
+        Xn, _, Ks = analytic_scan(F, "ball", 1, 2000)
+        kappa = np.linalg.cond(F.hessian_many(Xn))
+        assert kappa.max() > 4e7
+        assert np.all(np.abs(Ks + 3.0) <= 1e-13 + 1e-15 * kappa ** 1.5)
+
+    @pytest.mark.parametrize("F", [nodal_cubic(), elliptic_cubic(), cicy1_form(), cicy2_form()],
+                             ids=["nodal", "elliptic", "cicy1", "cicy2"])
+    @pytest.mark.parametrize("region", ["orthant", "ball"])
+    def test_ternary_cubics_match_closed_form(self, F, region):
+        Xn, _, Ks = analytic_scan(F, region, 2, 300)
+        assert len(Ks) > 250
+        R = np.array([float(sectional_curvature_closed(F, x)) for x in Xn])
+        assert np.all(np.abs(Ks - R) <= 1e-9 * np.maximum(1.0, np.abs(R)))
+
+    def test_hermitian_det_matches_fd(self):
+        F = hermitian_det(3)
+        compared = 0
+        for x, v1, v2 in scan_draws(F, "ball", 4, 150):
+            try:
+                s = sectional_curvature_numeric(F, x, v1, v2)
+            except KcurvError:
+                continue
+            compared += 1
+            assert abs(sectional_curvature_analytic(F, x, v1, v2).K - s.K) < 1e-5
+        assert compared >= 20
+
+    def test_ill_conditioned_diagonal_sample(self):
+        # diagonal(3, 3), orthant scan seed 5, sample 162: cond(H) = 5.4e5.
+        # u(a,a) H^-1 u(b,b) - u(a,b) H^-1 u(a,b) cancels there and gives
+        # -2.250651; the w form has no cancellation
+        x, v1, v2 = scan_draws(diagonal(3, 3), "orthant", 5, 163)[162]
+        s = sectional_curvature_analytic(diagonal(3, 3), x, v1, v2)
+        assert abs(s.K + 2.25) <= 1e-12
+
+    def test_one_row_is_the_batch_row(self):
+        F = cicy1_form()
+        samples = scan_draws(F, "orthant", 6, 20)
+        Xn, frames, Ks = analytic_scan(F, "orthant", 6, 20)
+        for (x, v1, v2), xn, frame, K in zip(samples, Xn, frames, Ks):
+            s = sectional_curvature_analytic(F, x, v1, v2)
+            assert s.K == K and s.err_estimate == 0.0 and s.method == "analytic"
+            assert np.array_equal(s.point, xn)
+            assert np.array_equal(s.plane[0], frame[0]) and np.array_equal(s.plane[1], frame[1])
+
+    def test_refusals_match_fd(self):
+        F, x = cicy1_form(), np.array([2.0, 1.0, 1.0])
+        v = np.array([0.0, 1.0, -1.0])
+        for L1, L2, error in ((v, 2.0 * v, DegeneratePlane), (x, v, DegeneratePlane),
+                              ([0.0, 1.0], v, DimensionMismatch)):
+            for fn in (sectional_curvature_numeric, sectional_curvature_analytic):
+                with pytest.raises(error):
+                    fn(F, x, L1, L2)
+        for fn in (sectional_curvature_numeric, sectional_curvature_analytic):
+            with pytest.raises(NotInIndexCone):
+                fn(nodal_cubic(), np.array([1.0, -2.0, 0.0]), v, [1.0, 0.0, 0.0])
 
 
 class TestSurfaceCrossCheck:

@@ -105,7 +105,7 @@ class TestPowerTableKernel:
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     @pytest.mark.parametrize("which", ["grad", "hess", "full"])
-    @pytest.mark.parametrize("n", [1, 25])
+    @pytest.mark.parametrize("n", [0, 1, 25])
     def test_stacks_bitwise_equal(self, name, which, n, rng):
         F = KERNEL_FORMS[name]
         sp = F._stack(which)
